@@ -1,4 +1,4 @@
-"""Command-line surface: group-spec parsing, analysis, table reproduction.
+"""Command-line surface: analysis, table reproduction, MLS counting.
 
 Exit codes are a stable contract: 0 success/agree, 2 cross-check
 disagreement, 3 budget exceeded, 4 input error.
@@ -8,19 +8,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 
-from .groups import (
-    FiniteGroup,
-    GroupValidationError,
+from .groups import (  # SpecError, parse_spec, spec_order: also imported from here
+    GRAMMAR,
     MAX_PIPELINE_ORDER,
-    direct_product,
-    from_cayley_file,
-    make_alternating4,
-    make_cyclic,
-    make_dihedral,
-    make_generalized_quaternion,
+    SpecError,
+    parse_spec,
+    spec_order,
 )
 from .setfam import BudgetExceeded, enumerate_mls, write_mls_stream
 from .semigroups import validate_associativity
@@ -30,65 +25,6 @@ EXIT_OK = 0
 EXIT_DISAGREE = 2
 EXIT_BUDGET = 3
 EXIT_INPUT = 4
-
-_GRAMMAR = "C<n>, D<2n>, Q<8|16|32>, A4, products joined with 'x', or file:<path>"
-
-
-class SpecError(ValueError):
-    def __init__(self, message: str, position: int = 0):
-        super().__init__(message)
-        self.position = position
-
-
-_ATOM_RE = re.compile(r"([CDQ])(\d+)$")
-_parse_cache: dict[str, FiniteGroup] = {}
-
-
-def _make_atom(token: str, position: int) -> FiniteGroup:
-    if token == "A4":
-        return make_alternating4()
-    m = _ATOM_RE.match(token)
-    if not m:
-        raise SpecError(f"bad token {token!r} at position {position}; expected {_GRAMMAR}", position)
-    letter, num = m.group(1), int(m.group(2))
-    try:
-        if letter == "C":
-            return make_cyclic(num)
-        if letter == "D":
-            return make_dihedral(num)
-        if num not in (8, 16, 32):
-            raise SpecError(f"Q{num} not supported at position {position}; use Q8, Q16 or Q32", position)
-        return make_generalized_quaternion(num)
-    except ValueError as exc:
-        raise SpecError(f"{exc} (token {token!r} at position {position})", position) from exc
-
-
-def parse_spec(text: str) -> FiniteGroup:
-    """Build the group named by a spec string, left-to-right for products."""
-    cached = _parse_cache.get(text)
-    if cached is not None:
-        return cached
-    if text.startswith("file:"):
-        group = from_cayley_file(text[5:])
-    else:
-        tokens = text.split("x")
-        position = 0
-        group = None
-        for tok in tokens:
-            if not tok:
-                raise SpecError(f"empty token at position {position}", position)
-            atom = _make_atom(tok, position)
-            try:
-                group = atom if group is None else direct_product(group, atom)
-            except ValueError as exc:
-                raise SpecError(f"{exc} while building {text!r}", position) from exc
-            position += len(tok) + 1
-    _parse_cache[text] = group
-    return group
-
-
-def spec_order(text: str) -> int:
-    return parse_spec(text).order
 
 
 # -- output helpers -------------------------------------------------------------------
@@ -184,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_an = sub.add_parser("analyze", help="structural (and optionally brute-force) analysis")
-    p_an.add_argument("spec", help=_GRAMMAR)
+    p_an.add_argument("spec", help=GRAMMAR)
     p_an.add_argument("--brute", action="store_true", help="also run the brute-force route and cross-check")
     p_an.add_argument("--json", action="store_true")
     p_an.add_argument("--budget", type=int, default=None, help="enumeration budget (systems)")
@@ -194,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--json", action="store_true")
 
     p_mls = sub.add_parser("mls-count", help="count maximal linked systems")
-    p_mls.add_argument("spec", help=_GRAMMAR)
+    p_mls.add_argument("spec", help=GRAMMAR)
     p_mls.add_argument("--out", default=None, help="write the signature stream to this file")
     p_mls.add_argument("--budget", type=int, default=None)
 
@@ -214,10 +150,8 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (SpecError, GroupValidationError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:
+        # SpecError, GroupValidationError and JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (AssertionError, RuntimeError) as exc:

@@ -10,18 +10,22 @@ explicit isomorphism search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .groups import (
     FiniteGroup,
+    InvariantError,
     MAX_PIPELINE_ORDER,
     direct_product,
+    group_isomorphic,
     make_cyclic,
     make_generalized_quaternion,
+    parse_spec,
+    spec_order,
+    subtable,
 )
 from .setfam import MlsSignature, circ, enumerate_mls, phi, phi_inverse, family_to_signature
 from .twin import (
-    CogroupOrbit,
     TwoCogroup,
     canonical_selector,
     cogroup_orbits,
@@ -153,6 +157,19 @@ class StructureReport:
         )
 
 
+def _report(name: str, m: int, q: dict[Tag, int], **route_fields) -> StructureReport:
+    """The report for the type 2^m x (product of q's factors)."""
+    return StructureReport(
+        group_name=name,
+        q_vector=tuple(sorted(q.items())),
+        left_zero_exponent=m,
+        min_left_ideal_type=type_string(m, q),
+        max_subgroup_type=group_type_string(q),
+        idempotents_per_min_left_ideal=1 << m,
+        **route_fields,
+    )
+
+
 # -- structural analysis ------------------------------------------------------------------
 
 
@@ -168,10 +185,12 @@ def analyze_structural(g: FiniteGroup, name: str = "?") -> StructureReport:
         h_order = k.stab.bit_count() // k.kk.bit_count()
         t_size = 1 << kpm_index
         orbit_space = t_size // h_order
-        assert t_size % h_order == 0 and orbit_space & (orbit_space - 1) == 0
+        if t_size % h_order or orbit_space & (orbit_space - 1):
+            raise InvariantError(f"orbit space of size {t_size}/{h_order} is not a power of two")
         m += orbit_space.bit_length() - 1
         tag = orbit.characteristic_type
-        assert 1 << tag[1] == h_order
+        if 1 << tag[1] != h_order:
+            raise InvariantError("characteristic type disagrees with |Stab(K)/KK|")
         q[tag] = q.get(tag, 0) + 1
         per_orbit.append(
             OrbitSummary(
@@ -183,16 +202,7 @@ def analyze_structural(g: FiniteGroup, name: str = "?") -> StructureReport:
                 classification=tag,
             )
         )
-    return StructureReport(
-        group_name=name,
-        q_vector=tuple(sorted(q.items())),
-        left_zero_exponent=m,
-        min_left_ideal_type=type_string(m, q),
-        max_subgroup_type=group_type_string(q),
-        idempotents_per_min_left_ideal=1 << m,
-        per_orbit=tuple(per_orbit),
-        provenance="structural",
-    )
+    return _report(name, m, q, per_orbit=tuple(per_orbit), provenance="structural")
 
 
 # -- brute-force analysis ---------------------------------------------------------------
@@ -245,8 +255,6 @@ def _build_factor_group(tags: tuple[Tag, ...]) -> FiniteGroup:
 
 def decompose_cq_type(h: FiniteGroup) -> dict[Tag, int]:
     """Express a 2-group as a product of cyclic and quaternion factors."""
-    from .groups import group_isomorphic
-
     if h.order == 1:
         return {}
     if h.order & (h.order - 1):
@@ -279,15 +287,8 @@ def analyze_brute(g: FiniteGroup, name: str = "?", budget: int | None = None) ->
         raise RuntimeError("idempotent count of a minimal left ideal is not a power of two")
     m = count.bit_length() - 1
     q = decompose_cq_type(rees.group)
-    return StructureReport(
-        group_name=name,
-        q_vector=tuple(sorted(q.items())),
-        left_zero_exponent=m,
-        min_left_ideal_type=type_string(m, q),
-        max_subgroup_type=group_type_string(q),
-        idempotents_per_min_left_ideal=count,
-        per_orbit=(),
-        provenance="brute",
+    return _report(
+        name, m, q, provenance="brute",
         notes=(f"superextension size {sem.size}, minimal left ideal size {len(ideal)}",),
     )
 
@@ -315,9 +316,7 @@ def build_type_semigroup(m: int, q: dict[Tag, int]) -> FiniteSemigroup:
 
 def sub_semigroup(sem: FiniteSemigroup, elems) -> FiniteSemigroup:
     order = sorted(elems)
-    pos = {e: i for i, e in enumerate(order)}
-    table = [[pos[sem.mul(a, b)] for b in order] for a in order]
-    return FiniteSemigroup.from_table(table, labels=order)
+    return FiniteSemigroup.from_table(subtable(sem.mul, order), labels=order)
 
 
 @dataclass(frozen=True)
@@ -516,8 +515,6 @@ REFERENCE_ROWS: tuple[tuple[str, int, str], ...] = (
 
 def reference_reports(with_brute: bool = False) -> list[tuple[str, StructureReport, tuple[str, int, str]]]:
     """Structural reports for the reference catalog, discrepancy-annotated."""
-    from .cli import parse_spec  # late import: cli provides the spec grammar
-
     out = []
     for spec, ref_idem, ref_ideal in REFERENCE_ROWS:
         g = parse_spec(spec)
@@ -525,22 +522,13 @@ def reference_reports(with_brute: bool = False) -> list[tuple[str, StructureRepo
         if with_brute and g.order <= 6:
             report = cross_check(g, spec).merged
         notes = list(report.notes)
-        ref_subgroup = strip_left_zero_factor(ref_ideal)
-        if report.min_left_ideal_type != ref_ideal:
-            notes.append(
-                f"discrepancy: computed minimal left ideal {report.min_left_ideal_type}; "
-                f"reference lists {ref_ideal}"
-            )
-        if report.max_subgroup_type != ref_subgroup:
-            notes.append(
-                f"discrepancy: computed maximal subgroup {report.max_subgroup_type}; "
-                f"reference lists {ref_subgroup}"
-            )
-        if report.idempotents_per_min_left_ideal != ref_idem:
-            notes.append(
-                f"discrepancy: computed idempotent count {report.idempotents_per_min_left_ideal}; "
-                f"reference lists {ref_idem}"
-            )
+        for what, got, ref in (
+            ("minimal left ideal", report.min_left_ideal_type, ref_ideal),
+            ("maximal subgroup", report.max_subgroup_type, strip_left_zero_factor(ref_ideal)),
+            ("idempotent count", report.idempotents_per_min_left_ideal, ref_idem),
+        ):
+            if got != ref:
+                notes.append(f"discrepancy: computed {what} {got}; reference lists {ref}")
         out.append((spec, replace(report, notes=tuple(notes)), (spec, ref_idem, ref_ideal)))
     return out
 
@@ -551,6 +539,4 @@ def catalog_specs(max_order: int = 16) -> list[str]:
     specs += ["C2xC2", "C2xC2xC2", "C2xC4", "C2xC2xC2xC2", "C2xC2xC4", "C2xC8", "C4xC4"]
     specs += [f"D{n}" for n in range(6, 17, 2)]
     specs += ["Q8", "Q16", "A4"]
-    from .cli import spec_order
-
     return [s for s in specs if spec_order(s) <= max_order]

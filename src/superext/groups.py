@@ -10,7 +10,9 @@ the subset).
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
+from itertools import permutations
 from math import gcd
 
 MAX_PIPELINE_ORDER = 16
@@ -23,8 +25,8 @@ class GroupValidationError(ValueError):
     """A Cayley table failed a group axiom.
 
     ``kind`` is one of "shape", "latin_square", "identity",
-    "associativity", "inverse" and ``witness`` carries the offending
-    indices (the triple (i, j, k) for an associativity failure).
+    "associativity" and ``witness`` carries the offending indices (the
+    triple (i, j, k) for an associativity failure).
     """
 
     def __init__(self, kind: str, message: str, witness=None):
@@ -33,17 +35,20 @@ class GroupValidationError(ValueError):
         self.witness = witness
 
 
+class InvariantError(RuntimeError):
+    """An internal consistency check failed: a bug, never bad input."""
+
+
 class FiniteGroup:
     """Immutable group on 0..n-1 given by its full multiplication table."""
 
-    def __init__(self, table, names=None, check: bool = True):
+    def __init__(self, table, names=None):
         self.table = tuple(tuple(int(v) for v in row) for row in table)
         self.order = len(self.table)
         self.names = tuple(names) if names is not None else None
         self.identity = 0
         self.renumbering = None  # set by the file loader when it permutes indices
-        if check:
-            self._validate()
+        self._validate()
         self.inv = tuple(self._find_inverse(x) for x in range(self.order))
         self._shift_rows: dict[int, list[int]] = {}
         self._caches: dict[str, object] = {}
@@ -62,15 +67,15 @@ class FiniteGroup:
                     raise GroupValidationError("shape", f"entry ({i},{j}) = {v} out of range")
         if self.names is not None and len(self.names) != n:
             raise GroupValidationError("shape", "names length does not match order")
-        ident = tuple(range(n))
-        if self.table[0] != ident or tuple(self.table[i][0] for i in range(n)) != ident:
-            raise GroupValidationError("identity", "index 0 is not a two-sided identity")
         for i in range(n):
             if len(set(self.table[i])) != n:
                 raise GroupValidationError("latin_square", f"row {i} is not a permutation", witness=i)
             col = set(self.table[j][i] for j in range(n))
             if len(col) != n:
                 raise GroupValidationError("latin_square", f"column {i} is not a permutation", witness=i)
+        ident = tuple(range(n))
+        if self.table[0] != ident or tuple(self.table[i][0] for i in range(n)) != ident:
+            raise GroupValidationError("identity", "index 0 is not a two-sided identity")
         t = self.table
         for i in range(n):
             ti = t[i]
@@ -84,9 +89,8 @@ class FiniteGroup:
                             f"({i}*{j})*{k} != {i}*({j}*{k})",
                             witness=(i, j, k),
                         )
-        for x in range(n):
-            if self._find_inverse(x) is None:
-                raise GroupValidationError("inverse", f"element {x} has no two-sided inverse", witness=x)
+        # inverses exist: x*y = 0 for some y (row x is a permutation), and then
+        # (y*x)*y = y*(x*y) = 0*y forces y*x = 0 (column y is a permutation)
 
     def _find_inverse(self, x: int):
         for y in range(self.order):
@@ -102,6 +106,13 @@ class FiniteGroup:
     def conj(self, x: int, a: int) -> int:
         """x * a * x^-1."""
         return self.table[self.table[x][a]][self.inv[x]]
+
+    def conj_mask(self, x: int, mask: int) -> int:
+        """{x*a*x^-1 : a in mask} as a mask."""
+        out = 0
+        for a in mask_elements(mask):
+            out |= 1 << self.conj(x, a)
+        return out
 
     def element_order(self, x: int) -> int:
         k, y = 1, x
@@ -205,6 +216,13 @@ def mask_elements(mask: int):
         mask ^= low
 
 
+def subtable(mul, elems) -> list[list[int]]:
+    """The product mul restricted to elems, renumbered in the given order."""
+    elems = list(elems)
+    pos = {e: i for i, e in enumerate(elems)}
+    return [[pos[mul(a, b)] for b in elems] for a in elems]
+
+
 # -- constructors ---------------------------------------------------------------
 
 
@@ -275,7 +293,7 @@ def make_generalized_quaternion(two_pow: int) -> FiniteGroup:
 def make_alternating4() -> FiniteGroup:
     """Even permutations of 4 points under composition."""
     perms = []
-    for p in _permutations4():
+    for p in permutations(range(4)):
         if _parity(p) == 0:
             perms.append(p)
     perms.sort()  # identity (0,1,2,3) sorts first
@@ -286,12 +304,6 @@ def make_alternating4() -> FiniteGroup:
     ]
     names = ["".join(str(v) for v in p) for p in perms]
     return FiniteGroup(table, names=names)
-
-
-def _permutations4():
-    from itertools import permutations
-
-    return permutations(range(4))
 
 
 def _parity(p) -> int:
@@ -325,7 +337,8 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
 def from_cayley_document(document: dict) -> FiniteGroup:
     """Validate a {"order", "table", "names"?} JSON object into a FiniteGroup.
 
-    The loader renumbers so the identity sits at index 0 and records the
+    The loader checks the document's shape, renumbers so the identity sits
+    at index 0, and leaves the group axioms to FiniteGroup.  It records the
     applied permutation on the returned group (``renumbering[new] = old``).
     """
     if not isinstance(document, dict) or "order" not in document or "table" not in document:
@@ -343,25 +356,8 @@ def from_cayley_document(document: dict) -> FiniteGroup:
             v = table[i][j]
             if not isinstance(v, int) or not 0 <= v < n:
                 raise GroupValidationError("shape", f"entry ({i},{j}) = {v!r} out of range")
-    for i in range(n):
-        if len(set(table[i])) != n:
-            raise GroupValidationError("latin_square", f"row {i} repeats a value", witness=i)
-        if len(set(table[j][i] for j in range(n))) != n:
-            raise GroupValidationError("latin_square", f"column {i} repeats a value", witness=i)
-    ident = [e for e in range(n) if all(table[e][j] == j and table[j][e] == j for j in range(n))]
-    if not ident:
-        raise GroupValidationError("identity", "no two-sided identity element")
-    e = ident[0]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if table[table[i][j]][k] != table[i][table[j][k]]:
-                    raise GroupValidationError(
-                        "associativity", f"({i}*{j})*{k} != {i}*({j}*{k})", witness=(i, j, k)
-                    )
-    for x in range(n):
-        if not any(table[x][y] == e and table[y][x] == e for y in range(n)):
-            raise GroupValidationError("inverse", f"element {x} has no inverse", witness=x)
+    # the first two-sided identity, if any; FiniteGroup rejects a table without one
+    e = next((e for e in range(n) if all(table[e][j] == j and table[j][e] == j for j in range(n))), 0)
     # renumber: swap identity to index 0
     old_order = list(range(n))
     if e != 0:
@@ -372,7 +368,15 @@ def from_cayley_document(document: dict) -> FiniteGroup:
     ]
     names = document.get("names")
     new_names = [names[old] for old in old_order] if names else None
-    group = FiniteGroup(new_table, names=new_names)
+    try:
+        group = FiniteGroup(new_table, names=new_names)
+    except GroupValidationError as exc:
+        # report the witness in document indices
+        if isinstance(exc.witness, tuple):
+            exc.witness = tuple(old_order[i] for i in exc.witness)
+        elif exc.witness is not None:
+            exc.witness = old_order[exc.witness]
+        raise
     group.renumbering = tuple(old_order)
     return group
 
@@ -437,13 +441,7 @@ def is_subgroup_mask(g: FiniteGroup, mask: int) -> bool:
 
 
 def is_normal_mask(g: FiniteGroup, mask: int) -> bool:
-    for x in range(g.order):
-        shifted = 0
-        for a in mask_elements(mask):
-            shifted |= 1 << g.conj(x, a)
-        if shifted != mask:
-            return False
-    return True
+    return all(g.conj_mask(x, mask) == mask for x in range(g.order))
 
 
 def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
@@ -518,7 +516,8 @@ def quotient(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     table = [[coset_of[g.table[reps[i]][reps[j]]] for j in range(k)] for i in range(k)]
     q = FiniteGroup(table)
     hom = GroupHom(source=g, target=q, images=tuple(coset_of))
-    assert hom.is_surjective() and hom.kernel_mask() == n.mask
+    if not hom.is_surjective() or hom.kernel_mask() != n.mask:
+        raise InvariantError("quotient projection has the wrong image or kernel")
     return q, hom
 
 
@@ -535,61 +534,32 @@ def greedy_generators(g: FiniteGroup) -> list[int]:
     return gens
 
 
+def invariant_factors(g: FiniteGroup) -> tuple[int, ...]:
+    """Invariant factors of an abelian group, each dividing the next.
+
+    A cyclic subgroup of largest order is a direct factor, so split it off
+    and recurse on the quotient.
+    """
+    if not g.is_abelian:
+        raise ValueError("invariant factors are defined for abelian groups only")
+    factors = []
+    while g.order > 1:
+        x = max(range(g.order), key=lambda v: g.element_orders[v])
+        mask = subgroup_closure(g, 1 << x)
+        factors.append(g.element_orders[x])
+        g, _ = quotient(g, Subgroup(parent=g, mask=mask, normal=True, index=g.order // mask.bit_count()))
+    return tuple(reversed(factors))
+
+
 def hom_count_to_cyclic2(g: FiniteGroup, k: int) -> int:
-    """|hom(g, C_{2^k})|, by backtracking over generator images of the abelianization."""
+    """|hom(g, C_{2^k})|, from the invariant factors of the abelianization."""
     if g.order > MAX_GROUP_ORDER:
         raise ValueError(f"order {g.order} exceeds cap {MAX_GROUP_ORDER}")
     if k < 0 or 2**k > 2**16:
         raise ValueError("exponent out of range")
-    m = 2**k
-    if m == 1:
-        return 1
     derived = g.derived_subgroup_mask()
     ab, _ = quotient(g, Subgroup(parent=g, mask=derived, normal=True, index=g.order // derived.bit_count()))
-    gens = greedy_generators(ab)
-    if not gens:
-        return 1
-    candidates = []
-    for x in gens:
-        d = gcd(m, ab.element_orders[x])
-        candidates.append([i * (m // d) for i in range(d)])
-
-    count = 0
-    images = [0] * len(gens)
-
-    def extend(depth):
-        nonlocal count
-        if depth == len(gens):
-            if _cyclic_hom_consistent(ab, gens, images, m):
-                count += 1
-            return
-        for z in candidates[depth]:
-            images[depth] = z
-            extend(depth + 1)
-
-    extend(0)
-    return count
-
-
-def _cyclic_hom_consistent(ab: FiniteGroup, gens, images, m: int) -> bool:
-    phi = [-1] * ab.order
-    phi[0] = 0
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for gidx, s in enumerate(gens):
-            y = ab.table[x][s]
-            v = (phi[x] + images[gidx]) % m
-            if phi[y] == -1:
-                phi[y] = v
-                frontier.append(y)
-            elif phi[y] != v:
-                return False
-    for a in range(ab.order):
-        for b in range(ab.order):
-            if (phi[a] + phi[b]) % m != phi[ab.table[a][b]]:
-                return False
-    return True
+    return FgAbelianPresentation(0, invariant_factors(ab)).hom_count_to_cyclic2(k)
 
 
 # -- 2-cogroup masks (shared with the twin machinery) --------------------------------
@@ -643,8 +613,10 @@ def odd_subgroup(g: FiniteGroup) -> Subgroup:
             if s.size > best.bit_count():
                 best = s.mask
             # every normal odd subgroup must sit inside the intersection
-            assert s.mask & mask == s.mask, "normal odd subgroup escapes the KK intersection"
-    assert mask == best, "KK intersection disagrees with direct search"
+            if s.mask & mask != s.mask:
+                raise InvariantError("normal odd subgroup escapes the KK intersection")
+    if mask != best:
+        raise InvariantError("KK intersection disagrees with direct search")
     return Subgroup(parent=g, mask=mask, normal=True, index=g.order // mask.bit_count())
 
 
@@ -661,10 +633,72 @@ def _fingerprint(g: FiniteGroup):
     )
 
 
+class SearchBudgetExceeded(RuntimeError):
+    """An isomorphism search used up its budget of map-extension steps."""
+
+
+def find_isomorphism(t1, t2, gens, candidates, budget: int | None = None):
+    """A bijection phi with phi[t1[a][b]] == t2[phi[a]][phi[b]], or None.
+
+    Backtracks over distinct images of the generators (candidates[i] lists
+    the allowed images of gens[i]), extends each assignment by right
+    multiplication by the generators, and verifies the full table.  Raises
+    SearchBudgetExceeded once the extension steps exceed the budget.
+    """
+    n = len(t1)
+    images: list[int] = []
+    ops = 0
+
+    def extend():
+        """Map every element reachable from the generators; None on conflict."""
+        nonlocal ops
+        phi = [-1] * n
+        for s, v in zip(gens, images):
+            phi[s] = v
+        frontier = list(gens)
+        while frontier:
+            x = frontier.pop()
+            ops += len(gens)
+            if budget is not None and ops > budget:
+                raise SearchBudgetExceeded(f"isomorphism search exceeded {budget} steps")
+            row1, row2 = t1[x], t2[phi[x]]
+            for s, v in zip(gens, images):
+                y, w = row1[s], row2[v]
+                if phi[y] == -1:
+                    phi[y] = w
+                    frontier.append(y)
+                elif phi[y] != w:
+                    return None
+        return phi
+
+    def is_isomorphism(phi) -> bool:
+        if phi is None or -1 in phi or len(set(phi)) != n:
+            return False
+        for a in range(n):
+            r1, r2 = t1[a], t2[phi[a]]
+            if any(phi[r1[b]] != r2[phi[b]] for b in range(n)):
+                return False
+        return True
+
+    def backtrack(depth):
+        if depth == len(gens):
+            phi = extend()
+            return phi if is_isomorphism(phi) else None
+        for cand in candidates[depth]:
+            if cand in images:
+                continue
+            images.append(cand)
+            phi = backtrack(depth + 1)
+            if phi is not None:
+                return phi
+            images.pop()
+        return None
+
+    return backtrack(0)
+
+
 def group_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> bool:
-    """Invariant fingerprints first, then exhaustive generator-image backtracking."""
-    if g1.order != g2.order:
-        return False
+    """Invariant fingerprints (the order first), then a search over generator images."""
     if _fingerprint(g1) != _fingerprint(g2):
         return False
     gens = greedy_generators(g1)
@@ -673,42 +707,8 @@ def group_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> bool:
     by_order: dict[int, list[int]] = {}
     for x in range(g2.order):
         by_order.setdefault(g2.element_orders[x], []).append(x)
-
-    n = g1.order
-
-    def words(images):
-        """Map every g1 element through the partial hom; None on conflict."""
-        phi = [-1] * n
-        phi[0] = 0
-        frontier = [0]
-        while frontier:
-            x = frontier.pop()
-            for gi, s in enumerate(gens):
-                y = g1.table[x][s]
-                v = g2.table[phi[x]][images[gi]]
-                if phi[y] == -1:
-                    phi[y] = v
-                    frontier.append(y)
-                elif phi[y] != v:
-                    return None
-        return phi
-
-    def backtrack(depth, images):
-        if depth == len(gens):
-            phi = words(images)
-            if phi is None or len(set(phi)) != n:
-                return False
-            return all(
-                phi[g1.table[a][b]] == g2.table[phi[a]][phi[b]] for a in range(n) for b in range(n)
-            )
-        for cand in by_order.get(g1.element_orders[gens[depth]], []):
-            images.append(cand)
-            if backtrack(depth + 1, images):
-                return True
-            images.pop()
-        return False
-
-    return backtrack(0, [])
+    candidates = [by_order.get(g1.element_orders[s], []) for s in gens]
+    return find_isomorphism(g1.table, g2.table, gens, candidates) is not None
 
 
 def is_cyclic(g: FiniteGroup) -> bool:
@@ -759,3 +759,69 @@ def fg_abelian_q(p: FgAbelianPresentation, k) -> "int | str":
     if not isinstance(k, int) or k < 1:
         raise ValueError("exponent must be a positive integer or the infinity token")
     return (p.hom_count_to_cyclic2(k) - p.hom_count_to_cyclic2(k - 1)) // 2 ** (k - 1)
+
+
+# -- group specs --------------------------------------------------------------------
+
+
+GRAMMAR = "C<n>, D<2n>, Q<8|16|32>, A4, products joined with 'x', or file:<path>"
+
+
+class SpecError(ValueError):
+    def __init__(self, message: str, position: int = 0):
+        super().__init__(message)
+        self.position = position
+
+
+_ATOM_RE = re.compile(r"([CDQ])(\d+)$")
+_parse_cache: dict[str, FiniteGroup] = {}
+
+
+def _make_atom(token: str, position: int) -> FiniteGroup:
+    if token == "A4":
+        return make_alternating4()
+    m = _ATOM_RE.match(token)
+    if not m:
+        raise SpecError(f"bad token {token!r} at position {position}; expected {GRAMMAR}", position)
+    letter, num = m.group(1), int(m.group(2))
+    try:
+        if letter == "C":
+            return make_cyclic(num)
+        if letter == "D":
+            return make_dihedral(num)
+        if num not in (8, 16, 32):
+            raise SpecError(f"Q{num} not supported at position {position}; use Q8, Q16 or Q32", position)
+        return make_generalized_quaternion(num)
+    except ValueError as exc:
+        raise SpecError(f"{exc} (token {token!r} at position {position})", position) from exc
+
+
+def parse_spec(text: str) -> FiniteGroup:
+    """Build the group named by a spec string, left-to-right for products.
+
+    Named groups are cached by spec; file specs are read afresh every time,
+    so an edited file is never served stale.
+    """
+    if text.startswith("file:"):
+        return from_cayley_file(text[5:])
+    cached = _parse_cache.get(text)
+    if cached is not None:
+        return cached
+    tokens = text.split("x")
+    position = 0
+    group = None
+    for tok in tokens:
+        if not tok:
+            raise SpecError(f"empty token at position {position}", position)
+        atom = _make_atom(tok, position)
+        try:
+            group = atom if group is None else direct_product(group, atom)
+        except ValueError as exc:
+            raise SpecError(f"{exc} while building {text!r}", position) from exc
+        position += len(tok) + 1
+    _parse_cache[text] = group
+    return group
+
+
+def spec_order(text: str) -> int:
+    return parse_spec(text).order

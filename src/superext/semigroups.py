@@ -8,7 +8,14 @@ from dataclasses import dataclass, field
 from itertools import product as iter_product
 from math import factorial
 
-from .groups import FiniteGroup, group_isomorphic, mask_elements
+from .groups import (
+    FiniteGroup,
+    InvariantError,
+    SearchBudgetExceeded,
+    find_isomorphism,
+    mask_elements,
+    subtable,
+)
 from .twin import TkData, TwoCogroup, twin_sets_for
 
 MATERIALIZE_MAX = 4096
@@ -52,9 +59,6 @@ class FiniteSemigroup:
             self._memo[key] = v
         return v
 
-    def label(self, i: int):
-        return self.labels[i] if self.labels is not None else i
-
 
 def validate_associativity(s: FiniteSemigroup, samples: int = 100_000, seed: int = 0) -> None:
     """Exhaustive for small carriers, seeded random triples otherwise."""
@@ -94,7 +98,8 @@ def minimal_left_ideal(s: FiniteSemigroup, start: int = 0) -> frozenset[int]:
         for y in sorted(ideal):
             smaller = left_ideal(s, y)
             if smaller != ideal:
-                assert smaller <= ideal
+                if not smaller <= ideal:
+                    raise InvariantError("left ideal of a member is not inside the ideal")
                 ideal = smaller
                 break
         else:
@@ -126,14 +131,6 @@ def minimal_left_ideals(s: FiniteSemigroup) -> list[frozenset[int]]:
 # -- maximal subgroups and the Rees decomposition ------------------------------------
 
 
-def group_from_elements(s: FiniteSemigroup, elems, identity: int) -> tuple[FiniteGroup, list[int]]:
-    """The set of semigroup elements as a FiniteGroup, identity renumbered to 0."""
-    order = [identity] + sorted(e for e in elems if e != identity)
-    pos = {e: i for i, e in enumerate(order)}
-    table = [[pos[s.mul(a, b)] for b in order] for a in order]
-    return FiniteGroup(table), order
-
-
 def maximal_subgroup(s: FiniteSemigroup, e: int) -> tuple[FiniteGroup, list[int]]:
     """H_e, the largest subgroup of s with identity e.
 
@@ -149,7 +146,8 @@ def maximal_subgroup(s: FiniteSemigroup, e: int) -> tuple[FiniteGroup, list[int]
             if s.mul(gx, hx) == e and s.mul(hx, gx) == e:
                 units.append(gx)
                 break
-    return group_from_elements(s, units, e)
+    order = [e] + [u for u in units if u != e]  # identity renumbered to 0
+    return FiniteGroup(subtable(s.mul, order)), order
 
 
 @dataclass(frozen=True)
@@ -220,7 +218,8 @@ def end_tk(k: TwoCogroup, max_size: int = MATERIALIZE_MAX) -> tuple[FiniteSemigr
                 f[tid[g.shift_mask(x, rep)]] = tid[g.shift_mask(x, img)]
         maps.append(tuple(f))
     maps.sort()
-    assert len(set(maps)) == total
+    if len(set(maps)) != total:
+        raise InvariantError("distinct orbit assignments gave equal maps")
     index = {f: i for i, f in enumerate(maps)}
 
     def mult(i, j):
@@ -320,17 +319,13 @@ def _generators(s: FiniteSemigroup) -> list[int]:
     return gens
 
 
-class _SearchBudget(Exception):
-    pass
-
-
 def semigroup_isomorphic(
     s1: FiniteSemigroup, s2: FiniteSemigroup, budget: int = 2_000_000
 ) -> bool | None:
     """True/False when decided; None when the search budget ran out.
 
-    Fingerprint pruning first, then backtracking over generator images with
-    full-table verification of any completed bijection.
+    Fingerprint pruning first, then find_isomorphism over generator images
+    with matching element invariants.
     """
     if s1.size != s2.size:
         return False
@@ -343,59 +338,13 @@ def semigroup_isomorphic(
     by_inv: dict[tuple, list[int]] = {}
     for x in range(n):
         by_inv.setdefault(inv2[x], []).append(x)
-
-    ops = 0
-
-    def close(images: dict[int, int]) -> dict[int, int] | None:
-        nonlocal ops
-        phi = dict(images)
-        frontier = list(phi)
-        while frontier:
-            a = frontier.pop()
-            for b in list(phi):
-                for c, d in (
-                    (s1.mul(a, b), s2.mul(phi[a], phi[b])),
-                    (s1.mul(b, a), s2.mul(phi[b], phi[a])),
-                ):
-                    ops += 1
-                    if ops > budget:
-                        raise _SearchBudget()
-                    known = phi.get(c)
-                    if known is None:
-                        phi[c] = d
-                        frontier.append(c)
-                    elif known != d:
-                        return None
-        return phi
-
-    def backtrack(depth: int, images: dict[int, int]) -> bool:
-        if depth == len(gens):
-            phi = close(images)
-            if phi is None or len(phi) != n or len(set(phi.values())) != n:
-                return False
-            return all(
-                phi[s1.mul(a, b)] == s2.mul(phi[a], phi[b]) for a in range(n) for b in range(n)
-            )
-        x = gens[depth]
-        for cand in by_inv.get(inv1[x], []):
-            if cand in images.values():
-                continue
-            images[x] = cand
-            if backtrack(depth + 1, images):
-                return True
-            del images[x]
-        return False
-
+    candidates = [by_inv.get(inv1[x], []) for x in gens]
+    t1, t2 = (s.table if s.table is not None else subtable(s.mul, range(n)) for s in (s1, s2))
     try:
-        return backtrack(0, {})
-    except _SearchBudget:
+        return find_isomorphism(t1, t2, gens, candidates, budget) is not None
+    except SearchBudgetExceeded:
         return None
 
 
 def group_as_semigroup(g: FiniteGroup) -> FiniteSemigroup:
     return FiniteSemigroup.from_table(g.table)
-
-
-def groups_isomorphic_as_semigroups(g1: FiniteGroup, g2: FiniteGroup) -> bool:
-    # group isomorphism and semigroup isomorphism coincide for groups
-    return group_isomorphic(g1, g2)

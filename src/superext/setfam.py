@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .groups import FiniteGroup, mask_elements
+from .groups import FiniteGroup
 
 MAX_ENUM_ORDER = 6
 MAX_ENUM_ORDER_WITH_BUDGET = 7
@@ -39,9 +39,6 @@ class FamilyOfSets:
 
     group: FiniteGroup = field(compare=False)
     members: frozenset[int] = frozenset()
-
-    def __contains__(self, mask: int) -> bool:
-        return mask in self.members
 
 
 @dataclass(frozen=True)
@@ -222,19 +219,10 @@ def phi(a, mask: int) -> int:
     """{x : x^-1 * mask in a} for a family or signature a."""
     g = a.group
     out = 0
-    if isinstance(a, MlsSignature):
-        bits, half, full = a.bits, 1 << (g.order - 1), g.full_mask()
-        for x in range(g.order):
-            m = g.shift_mask(g.inv[x], mask)
-            if m < half:
-                bit = (bits >> m) & 1
-            else:
-                bit = 1 ^ ((bits >> (m ^ full)) & 1)
-            out |= bit << x
-    else:
-        for x in range(g.order):
-            if g.shift_mask(g.inv[x], mask) in a.members:
-                out |= 1 << x
+    contains = a.contains if isinstance(a, MlsSignature) else a.members.__contains__
+    for x in range(g.order):
+        if contains(g.shift_mask(g.inv[x], mask)):
+            out |= 1 << x
     return out
 
 
@@ -286,16 +274,12 @@ def phi_inverse(f, group: FiniteGroup) -> FamilyOfSets:
     is rejected with a witness pair.
     """
     full = group.full_mask()
-
-    def val(m: int) -> int:
-        return f[m]
-
     for a in range(full + 1):
-        fa = val(a)
+        fa = f[a]
         for x in range(group.order):
-            if val(group.shift_mask(x, a)) != group.shift_mask(x, fa):
+            if f[group.shift_mask(x, a)] != group.shift_mask(x, fa):
                 raise EquivarianceError((x, a))
-    members = frozenset(a for a in range(full + 1) if val(a) & 1)
+    members = frozenset(a for a in range(full + 1) if f[a] & 1)
     return FamilyOfSets(group, members)
 
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 from .groups import (
     FiniteGroup,
+    InvariantError,
     Subgroup,
     cogroup_masks,
     group_isomorphic,
@@ -19,16 +20,8 @@ from .groups import (
     mask_elements,
     maximal_cogroup_masks,
     quotient,
+    subtable,
 )
-
-
-@dataclass(frozen=True)
-class TwinSet:
-    group: FiniteGroup = field(compare=False)
-    mask: int = 0
-    fix: int = 0
-    fix_minus: int = 0
-    fix_pm: int = 0
 
 
 @dataclass(frozen=True)
@@ -69,13 +62,6 @@ def fix_operators(g: FiniteGroup, a: int) -> tuple[int, int, int]:
     return fix, fixm, fix | fixm
 
 
-def make_twin_set(g: FiniteGroup, mask: int) -> TwinSet:
-    fix, fixm, fixpm = fix_operators(g, mask)
-    if not fixm:
-        raise ValueError("mask is not a twin set")
-    return TwinSet(group=g, mask=mask, fix=fix, fix_minus=fixm, fix_pm=fixpm)
-
-
 def is_twin(g: FiniteGroup, a: int) -> bool:
     return fix_operators(g, a)[1] != 0
 
@@ -99,10 +85,7 @@ def is_pretwin(g: FiniteGroup, a: int) -> bool:
 def _make_cogroup(g: FiniteGroup, k: int, kk: int, kpm: int, maximal: bool) -> TwoCogroup:
     stab = 0
     for x in range(g.order):
-        conj = 0
-        for a in mask_elements(k):
-            conj |= 1 << g.conj(x, a)
-        if conj == k:
+        if g.conj_mask(x, k) == k:
             stab |= 1 << x
     return TwoCogroup(
         group=g,
@@ -133,11 +116,7 @@ def maximal_2cogroups(g: FiniteGroup) -> list[TwoCogroup]:
 
 
 def conjugate_cogroup(k: TwoCogroup, x: int) -> int:
-    g = k.group
-    out = 0
-    for a in mask_elements(k.members):
-        out |= 1 << g.conj(x, a)
-    return out
+    return k.group.conj_mask(x, k.members)
 
 
 def cogroup_orbits(g: FiniteGroup) -> list[CogroupOrbit]:
@@ -173,13 +152,6 @@ class ClassificationError(RuntimeError):
     """A characteristic group failed the cyclic-or-quaternion shape guarantee."""
 
 
-def _subgroup_as_group(g: FiniteGroup, mask: int) -> tuple[FiniteGroup, list[int]]:
-    elems = sorted(mask_elements(mask))
-    pos = {e: i for i, e in enumerate(elems)}
-    table = [[pos[g.table[a][b]] for b in elems] for a in elems]
-    return FiniteGroup(table), elems
-
-
 def classify_unique_involution_2group(h: FiniteGroup) -> tuple[str, int]:
     """("C", k) or ("Q", k) for a 2-group with a unique involution; raises otherwise."""
     n = h.order
@@ -198,7 +170,8 @@ def classify_unique_involution_2group(h: FiniteGroup) -> tuple[str, int]:
 def characteristic_group(k: TwoCogroup) -> tuple[FiniteGroup, tuple[str, int]]:
     """Stab(K)/KK with its cyclic-or-quaternion classification tag."""
     g = k.group
-    stab_group, stab_elems = _subgroup_as_group(g, k.stab)
+    stab_elems = sorted(mask_elements(k.stab))
+    stab_group = FiniteGroup(subtable(g.mul, stab_elems))
     pos = {e: i for i, e in enumerate(stab_elems)}
     kk_inside = 0
     for e in mask_elements(k.kk):
@@ -275,7 +248,8 @@ def twin_sets_for(k: TwoCogroup) -> TkData:
     if built != scan:
         raise AssertionError("transversal construction disagrees with the direct scan")
     twins = tuple(sorted(built))
-    assert len(twins) == 1 << k.kpm_index()
+    if len(twins) != 1 << k.kpm_index():
+        raise InvariantError(f"|T_K| = {len(twins)}, expected 2^{k.kpm_index()}")
 
     stab_elems = list(mask_elements(k.stab))
     seen = set()
@@ -287,7 +261,8 @@ def twin_sets_for(k: TwoCogroup) -> TkData:
         seen.update(orb)
         orbits.append(orb)
     h_order = k.stab.bit_count() // k.kk.bit_count()
-    assert all(len(o) == h_order for o in orbits), "the characteristic-group act is not free"
+    if any(len(o) != h_order for o in orbits):
+        raise InvariantError("the characteristic-group act is not free")
     return TkData(cogroup=k, twin_masks=twins, orbits=tuple(orbits))
 
 

@@ -1,0 +1,63 @@
+"""Guarantees that span modules: no bare asserts, no engine -> cli import,
+fresh file specs, and loader errors reported in document indices."""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from superext.cli import parse_spec
+from superext.groups import GroupValidationError, from_cayley_document, make_cyclic, to_cayley_document
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_no_assert_statements_in_src():
+    # invariant checks must survive python -O, which strips assert statements
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert found == []
+
+
+def test_engine_does_not_import_cli():
+    code = (
+        "import sys, superext\n"
+        "from superext import engine\n"
+        "engine.catalog_specs()\n"
+        "engine.reference_reports()\n"
+        "assert 'superext.cli' not in sys.modules, 'engine imported superext.cli'\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_file_spec_is_reread_after_edit(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(to_cayley_document(make_cyclic(2))))
+    assert parse_spec(f"file:{path}").order == 2
+    path.write_text(json.dumps(to_cayley_document(make_cyclic(3))))
+    assert parse_spec(f"file:{path}").order == 3
+
+
+def test_loader_witness_is_in_document_indices():
+    # a non-associative loop whose identity sits at index 2, so the loader renumbers
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]]
+    perm = [2, 1, 0, 3, 4]
+    t = [[0] * 5 for _ in range(5)]
+    for i in range(5):
+        for j in range(5):
+            t[perm[i]][perm[j]] = perm[loop[i][j]]
+    with pytest.raises(GroupValidationError) as exc:
+        from_cayley_document({"order": 5, "table": t})
+    assert exc.value.kind == "associativity"
+    i, j, k = exc.value.witness
+    assert t[t[i][j]][k] != t[i][t[j][k]]
