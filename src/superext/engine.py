@@ -24,7 +24,7 @@ from .groups import (
     spec_order,
     subtable,
 )
-from .setfam import MlsSignature, circ, enumerate_mls, phi, phi_inverse, family_to_signature
+from .setfam import MlsSignature, circ, enumerate_mls, indexed_circ, phi, phi_inverse, family_to_signature
 from .twin import (
     TwoCogroup,
     canonical_selector,
@@ -209,15 +209,10 @@ def analyze_structural(g: FiniteGroup, name: str = "?") -> StructureReport:
 
 
 def lambda_semigroup(g: FiniteGroup, budget: int | None = None) -> FiniteSemigroup:
-    """The whole superextension as a finite semigroup (orders <= 6, 7 with budget)."""
+    """The whole superextension as a finite semigroup (orders <= 6, 7 with budget),
+    multiplied through the function representation Phi."""
     sigs = enumerate_mls(g, budget=budget)
-    bits = [s.bits for s in sigs]
-    index = {b: i for i, b in enumerate(bits)}
-
-    def mult(i, j):
-        return index[circ(sigs[i], sigs[j]).bits]
-
-    return FiniteSemigroup(len(sigs), mult, labels=sigs, materialize=False)
+    return FiniteSemigroup(len(sigs), indexed_circ(sigs), labels=sigs, materialize=False)
 
 
 def _cq_factor_candidates(two_power: int) -> list[tuple[Tag, ...]]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import product as iter_product
 from math import factorial
 
@@ -23,17 +24,11 @@ _EXHAUSTIVE_ASSOC_MAX = 64
 
 
 class FiniteSemigroup:
-    """Carrier 0..size-1 with a total product; table materialized when small.
-
-    The memo fill is idempotent (same key always computes the same int), so
-    concurrent readers may at worst duplicate a computation, never see a
-    torn value.
-    """
+    """Carrier 0..size-1 with a total product; table materialized when small."""
 
     def __init__(self, size: int, mult, labels=None, materialize: bool | None = None):
         self.size = size
         self.labels = labels
-        self._memo: dict[tuple[int, int], int] = {}
         self._mult = mult
         self.table = None
         if materialize is None:
@@ -52,12 +47,7 @@ class FiniteSemigroup:
     def mul(self, i: int, j: int) -> int:
         if self.table is not None:
             return self.table[i][j]
-        key = (i, j)
-        v = self._memo.get(key)
-        if v is None:
-            v = self._mult(i, j)
-            self._memo[key] = v
-        return v
+        return self._mult(i, j)
 
 
 def validate_associativity(s: FiniteSemigroup, samples: int = 100_000, seed: int = 0) -> None:
@@ -91,19 +81,19 @@ def right_ideal(s: FiniteSemigroup, x: int) -> frozenset[int]:
     return frozenset(s.mul(x, i) for i in range(s.size))
 
 
-def minimal_left_ideal(s: FiniteSemigroup, start: int = 0) -> frozenset[int]:
-    """Descend x -> S*y for y in S*x until every y in L regenerates L."""
-    ideal = left_ideal(s, start)
-    while True:
-        for y in sorted(ideal):
-            smaller = left_ideal(s, y)
-            if smaller != ideal:
-                if not smaller <= ideal:
-                    raise InvariantError("left ideal of a member is not inside the ideal")
-                ideal = smaller
-                break
-        else:
-            return ideal
+def minimal_left_ideal(s: FiniteSemigroup) -> frozenset[int]:
+    """S*z for z the product of every element, proved minimal.
+
+    z lies in K(S): K(S) is not empty, so one factor of the product lies in
+    it, and K(S) is a two-sided ideal, so the whole product does too.  The
+    proof: every y in S*z regenerates it, S*y = S*z.
+    """
+    z = reduce(s.mul, range(s.size))
+    ideal = left_ideal(s, z)
+    for y in ideal:
+        if left_ideal(s, y) != ideal:
+            raise InvariantError(f"S*{y} differs from S*{z}: not a minimal left ideal")
+    return ideal
 
 
 def minimal_ideal(s: FiniteSemigroup) -> frozenset[int]:

@@ -10,6 +10,7 @@ membership is O(1).  Explicit families are only materialized for general
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .groups import FiniteGroup
 
@@ -232,39 +233,79 @@ def phi_map(a) -> tuple[int, ...]:
     return tuple(phi(a, m) for m in range(g.full_mask() + 1))
 
 
+def _gather(idx):
+    """seq -> tuple(seq[i] for i in idx) at C speed; a bare itemgetter of
+    one index would return a scalar."""
+    if len(idx) == 1:
+        i = idx[0]
+        return lambda seq: (seq[i],)
+    return itemgetter(*idx)
+
+
+_FLIP = str.maketrans("01", "10")
+
+
+def _membership(sig: MlsSignature) -> str:
+    """Char m is '1' iff mask m is a member: the bits reversed, then their
+    complement for the high half (pair symmetry)."""
+    low = format(sig.bits, f"0{1 << (sig.group.order - 1)}b")
+    return low[::-1] + low.translate(_FLIP)
+
+
+def pair_row(sig: MlsSignature) -> tuple[int, ...]:
+    """Phi(sig)(p) for every pair representative p < 2^(n-1)."""
+    g = sig.group
+    n, half, full = g.order, 1 << (g.order - 1), g.full_mask()
+    # one gather reads every Phi(sig)(p) off the membership string as n-bit
+    # fields of one int: p = 0 in the top field, bit n-1 first in each
+    fields = g._cache(
+        "phi_fields",
+        lambda: _gather([g.shift_row(g.inv[x])[p] for p in range(half) for x in reversed(range(n))]),
+    )
+    v = int("".join(fields(_membership(sig))), 2)
+    return tuple((v >> k) & full for k in range((half - 1) * n, -1, -n))
+
+
+def phi_table(sig: MlsSignature) -> tuple[int, ...]:
+    """phi_map of a signature: its pair row, the high half by Phi(X\\A) = X\\Phi(A)."""
+    row = pair_row(sig)
+    full = sig.group.full_mask()
+    return row + tuple(full ^ v for v in reversed(row))
+
+
 def circ(a, b):
     """Product of two families: {A : {x : x^-1 A in b} in a}.
 
-    Two signatures yield a signature; otherwise an explicit family.
+    Two signatures yield a signature, read off a's membership at Phi(b)'s
+    pair row; otherwise an explicit family.
     """
     if a.group is not b.group and a.group.table != b.group.table:
         raise ValueError("operands live over different groups")
     g = a.group
     if isinstance(a, MlsSignature) and isinstance(b, MlsSignature):
-        half = 1 << (g.order - 1)
-        full = g.full_mask()
-        abits, bbits = a.bits, b.bits
-        inv = g.inv
-        out = 0
-        for p in range(half):
-            s = 0
-            for x in range(g.order):
-                m = g.shift_mask(inv[x], p)
-                if m < half:
-                    bit = (bbits >> m) & 1
-                else:
-                    bit = 1 ^ ((bbits >> (m ^ full)) & 1)
-                s |= bit << x
-            if s < half:
-                bit = (abits >> s) & 1
-            else:
-                bit = 1 ^ ((abits >> (s ^ full)) & 1)
-            out |= bit << p
-        return MlsSignature(g, out)
+        bits = _gather(pair_row(b)[::-1])(_membership(a))
+        return MlsSignature(g, int("".join(bits), 2))
     fam_a = a.to_family() if isinstance(a, MlsSignature) else a
     fam_b = b.to_family() if isinstance(b, MlsSignature) else b
     members = frozenset(m for m in range(g.full_mask() + 1) if phi(fam_b, m) in fam_a.members)
     return FamilyOfSets(g, members)
+
+
+def indexed_circ(sigs: list[MlsSignature]):
+    """mult(i, j) = the index of sigs[i] o sigs[j] in sigs, a list closed under circ.
+
+    Phi(a o b) = Phi(a) o Phi(b), so the pair row of a o b is Phi(a)'s table
+    gathered at b's pair row: one gather and one dict lookup per product.
+    """
+    tables = [phi_table(s) for s in sigs]
+    half = 1 << (sigs[0].group.order - 1)
+    index = {t[:half]: i for i, t in enumerate(tables)}
+    gathers = [_gather(t[:half]) for t in tables]
+
+    def mult(i, j):
+        return index[gathers[j](tables[i])]
+
+    return mult
 
 
 def phi_inverse(f, group: FiniteGroup) -> FamilyOfSets:

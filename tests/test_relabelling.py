@@ -1,0 +1,62 @@
+"""Reports do not depend on how a group's elements are named: each catalog group,
+renamed at random and loaded as a Cayley document, gets the same report."""
+
+import random
+
+import pytest
+
+from superext.cli import parse_spec
+from superext.engine import analyze_brute, analyze_structural, catalog_specs
+from superext.groups import from_cayley_document, to_cayley_document
+
+
+def relabelled(g, rng):
+    """(h, to_g): g under a random renaming, loaded through from_cayley_document,
+    and the map from h's elements back to g's."""
+    n = g.order
+    perm = list(range(n))
+    rng.shuffle(perm)
+    table = to_cayley_document(g)["table"]
+    out = [[0] * n for _ in range(n)]
+    for i, row in enumerate(table):
+        for j, v in enumerate(row):
+            out[perm[i]][perm[j]] = perm[v]
+    h = from_cayley_document({"order": n, "table": out})
+    back = {p: x for x, p in enumerate(perm)}
+    return h, [back[old] for old in h.renumbering]
+
+
+def canonical(doc, g, to_g=None):
+    """The report without its name, each summand's K replaced by K's conjugacy
+    orbit in g's labels: K is a set of elements, so it is the one field that
+    names them, and the orbit's representative is a choice."""
+    out = dict(doc, group=None)
+    summands = []
+    for s in doc["m_summands"]:
+        k = int(s["K"], 16)
+        if to_g is not None:
+            k = sum(1 << to_g[y] for y in range(g.order) if k >> y & 1)
+        orbit = sorted({g.conj_mask(x, k) for x in range(g.order)})
+        summands.append(sorted(dict(s, K=orbit).items()))
+    out["m_summands"] = sorted(summands)
+    return out
+
+
+@pytest.mark.parametrize("spec", catalog_specs())
+def test_structural_report_is_relabelling_invariant(spec):
+    g = parse_spec(spec)
+    want = canonical(analyze_structural(g, spec).to_json(), g)
+    rng = random.Random(spec)
+    for _ in range(5):
+        h, to_g = relabelled(g, rng)
+        assert canonical(analyze_structural(h, spec).to_json(), g, to_g) == want
+
+
+@pytest.mark.parametrize("spec", catalog_specs(max_order=6))
+def test_brute_report_is_relabelling_invariant(spec):
+    g = parse_spec(spec)
+    want = dict(analyze_brute(g, spec).to_json(), group=None)
+    rng = random.Random(spec)
+    for _ in range(2):
+        h, _ = relabelled(g, rng)
+        assert dict(analyze_brute(h, spec).to_json(), group=None) == want

@@ -1,10 +1,13 @@
 """Idempotents, minimal ideals, Rees decomposition, End(T_K), wreath products."""
 
+import random
+
 import pytest
 
 from superext.cli import parse_spec
 from superext.engine import build_type_semigroup, catalog_specs, lambda_semigroup, sub_semigroup
 from superext.groups import (
+    InvariantError,
     direct_product,
     group_isomorphic,
     make_cyclic,
@@ -348,3 +351,50 @@ def test_validation_catches_broken_table():
     broken = FiniteSemigroup.from_table([[0, 1], [0, 0]])
     with pytest.raises(AssertionError):
         validate_associativity(broken)
+
+
+# -- the seeded minimal left ideal ------------------------------------------------------------
+
+
+def assert_minimal_left_ideal(s, ideal):
+    """Closed under left multiplication, and as small as the smallest principal
+    left ideal: every left ideal contains a minimal one, and all have one size."""
+    assert ideal and all(s.mul(x, y) in ideal for x in range(s.size) for y in ideal)
+    assert len(ideal) == min(len(left_ideal(s, x)) for x in range(s.size))
+
+
+def test_seeded_ideal_on_rectangular_band():
+    sem = rectangular_band(2, 3)
+    ideal = minimal_left_ideal(sem)
+    assert_minimal_left_ideal(sem, ideal)
+    assert len(ideal) == 2
+
+
+def test_seeded_ideal_on_permuted_type_model():
+    # (left zeros of size 4) x C2 x Q8 under a seeded carrier permutation
+    model = build_type_semigroup(2, {("C", 1): 1, ("Q", 3): 1})
+    n = model.size
+    perm = list(range(n))
+    random.Random(3).shuffle(perm)
+    table = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            table[perm[i]][perm[j]] = perm[model.mul(i, j)]
+    sem = FiniteSemigroup.from_table(table)
+    ideal = minimal_left_ideal(sem)
+    assert_minimal_left_ideal(sem, ideal)
+    rees = rees_decompose(sem, ideal)
+    assert (rees.left_zero_count, rees.group.order) == (4, 16)
+
+
+@pytest.mark.parametrize("spec", ["C3", "C4", "C2xC2", "C5"])
+def test_seeded_ideal_on_lambda(spec):
+    sem = lambda_semigroup(parse_spec(spec))
+    assert_minimal_left_ideal(sem, minimal_left_ideal(sem))
+
+
+def test_seeded_ideal_rejects_a_non_associative_table():
+    # the product chain lands on 1; S*1 = {0, 1} but S*0 = {0}
+    sem = FiniteSemigroup.from_table([[0, 1], [0, 0]])
+    with pytest.raises(InvariantError):
+        minimal_left_ideal(sem)
