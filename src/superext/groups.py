@@ -774,7 +774,8 @@ class SpecError(ValueError):
 
 
 _ATOM_RE = re.compile(r"([CDQ])(\d+)$")
-_parse_cache: dict[str, FiniteGroup] = {}
+_PARSE_CACHE_SIZE = 64  # above the 32 catalog specs: `table` builds each group once
+_parse_cache: dict[str, FiniteGroup] = {}  # least recently used first
 
 
 def _make_atom(token: str, position: int) -> FiniteGroup:
@@ -799,13 +800,14 @@ def _make_atom(token: str, position: int) -> FiniteGroup:
 def parse_spec(text: str) -> FiniteGroup:
     """Build the group named by a spec string, left-to-right for products.
 
-    Named groups are cached by spec; file specs are read afresh every time,
-    so an edited file is never served stale.
+    The 64 most recently used named specs are cached; file specs are read
+    afresh every time, so an edited file is never served stale.
     """
     if text.startswith("file:"):
         return from_cayley_file(text[5:])
-    cached = _parse_cache.get(text)
+    cached = _parse_cache.pop(text, None)
     if cached is not None:
+        _parse_cache[text] = cached
         return cached
     tokens = text.split("x")
     position = 0
@@ -820,6 +822,8 @@ def parse_spec(text: str) -> FiniteGroup:
             raise SpecError(f"{exc} while building {text!r}", position) from exc
         position += len(tok) + 1
     _parse_cache[text] = group
+    if len(_parse_cache) > _PARSE_CACHE_SIZE:
+        del _parse_cache[next(iter(_parse_cache))]
     return group
 
 

@@ -9,6 +9,7 @@ membership is O(1).  Explicit families are only materialized for general
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -34,7 +35,7 @@ class EquivarianceError(ValueError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FamilyOfSets:
     """An arbitrary member of the double power set: explicit masks."""
 
@@ -42,7 +43,7 @@ class FamilyOfSets:
     members: frozenset[int] = frozenset()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MlsSignature:
     """A maximal linked system: one bit per complementary pair."""
 
@@ -132,9 +133,16 @@ def enumerate_mls(
 ) -> list[MlsSignature]:
     """Every maximal linked system on g exactly once, sorted by signature.
 
-    Backtracks over complementary pairs with unit propagation: committing a
-    member M forces every superset of M in and every set disjoint from M
-    out.  Orders beyond 6 require an explicit budget; order 8+ is refused.
+    Branches over complementary pairs with unit propagation on two bitsets
+    over the pair representatives: inb (member is p) and outb (member is
+    X\\p).  Committing a member M ORs in two tables precomputed per mask,
+    force_in[M] (supersets of M) and force_out[M] (sets disjoint from M).
+    Propagating M alone is complete: every member it forces is a superset
+    of M, so what that member forces is already in M's tables.  No branch
+    fails, so inb & outb stays 0: an undecided p meets every committed
+    member (else p was forced out), and so does X\\p (else p was forced
+    in), so the committed members stay pairwise intersecting.  Orders
+    beyond 6 require an explicit budget; order 8+ is refused.
     """
     n = g.order
     if n > MAX_ENUM_ORDER_WITH_BUDGET:
@@ -149,66 +157,46 @@ def enumerate_mls(
         g._caches[key] = cached
     if budget is not None and len(cached) > budget:
         raise BudgetExceeded(budget)
-    return [MlsSignature(g, b) for b in cached]
+    # signatures hold no cycles; at order 7 (1.4 M of them) collector passes
+    # over the growing list would cost twice the construction itself
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return [MlsSignature(g, b) for b in cached]
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _enumerate_bits(n: int, order: str, budget: int | None) -> list[int]:
-    half = 1 << (n - 1)
-    full = (1 << n) - 1
-    reps = _pair_order(n, order)
-    status = [-1] * half
-    status[0] = 0  # member is X, never the empty set
-    out: list[int] = []
-
-    def propagate(member: int, trail: list[int]) -> bool:
-        # member in forces: supersets of member in, sets disjoint from member out;
-        # on pair representatives those two cases are exhaustive.
-        for t in range(half):
-            m = t & member
-            if m == member:
-                want = 1
-            elif m == 0:
-                want = 0
-            else:
-                continue
-            cur = status[t]
-            if cur == -1:
-                status[t] = want
-                trail.append(t)
-            elif cur != want:
-                return False
-        return True
-
-    def emit():
-        bits = 0
-        for p in range(half):
-            if status[p]:
-                bits |= 1 << p
-        out.append(bits)
-        if budget is not None and len(out) > budget:
-            raise BudgetExceeded(budget)
-
-    def search(i: int):
-        while i < len(reps) and status[reps[i]] != -1:
-            i += 1
-        if i == len(reps):
-            emit()
-            return
-        p = reps[i]
-        for bit in (1, 0):
-            member = p if bit else p ^ full
-            trail: list[int] = []
-            status[p] = bit
-            trail.append(p)
-            ok = propagate(member, trail)
-            if ok:
-                search(i + 1)
-            for t in trail:
-                status[t] = -1
-
     if n == 1:
         return [0]
-    search(0)
+    half = 1 << (n - 1)
+    full = (1 << n) - 1
+    # force_in[M] / force_out[M]: the representatives t with t >= M / t & M == 0
+    force_in = [sum(1 << t for t in range(half) if t & m == m) for m in range(full + 1)]
+    force_out = [sum(1 << t for t in range(half) if not t & m) for m in range(full + 1)]
+    reps = _pair_order(n, order)
+    # per pair in search order: its bit, and the tables of member p and of X\p
+    bits = [1 << p for p in reps]
+    steps = [(force_in[p], force_out[p], force_out[p ^ full]) for p in reps]
+    every = (1 << half) - 1
+    out: list[int] = []
+
+    def search(i: int, inb: int, outb: int):
+        decided = inb | outb
+        if decided == every:
+            out.append(inb)
+            if budget is not None and len(out) > budget:
+                raise BudgetExceeded(budget)
+            return
+        while decided & bits[i]:  # stops: pairs before i are decided, one is not
+            i += 1
+        p_in, p_out, comp_out = steps[i]
+        search(i + 1, inb | p_in, outb | p_out)  # member p
+        search(i + 1, inb, outb | comp_out)  # member X\p: it holds n-1, so no superset is a representative
+
+    search(0, 0, 1)  # bit 0 out: the {empty, X} pair's member is X
     out.sort()
     return out
 
@@ -334,10 +322,26 @@ def write_mls_stream(fh, g: FiniteGroup, sigs) -> None:
 
 
 def read_mls_stream(fh) -> tuple[int, list[int]]:
+    """(n, signature bits) from a stream; ValueError names the first bad line."""
     header = fh.readline().strip()
-    parts = dict(kv.split("=") for kv in header.split())
+    parts = dict(kv.partition("=")[::2] for kv in header.split())
+    if not {"n", "pairs"} <= parts.keys():
+        raise ValueError(f"line 1: header {header!r} lacks n= or pairs=")
     n = int(parts["n"])
-    if int(parts["pairs"]) != 1 << (n - 1):
-        raise ValueError("pair count does not match the order in the header")
-    bits = [int(line, 16) for line in fh if line.strip()]
+    pairs = 1 << (n - 1)
+    if int(parts["pairs"]) != pairs:
+        raise ValueError("line 1: pair count does not match the order in the header")
+    bits = []
+    for lineno, line in enumerate(fh, start=2):
+        if not line.strip():
+            continue
+        try:
+            b = int(line, 16)
+        except ValueError:
+            raise ValueError(f"line {lineno}: {line.strip()!r} is not hexadecimal") from None
+        if b >> pairs:
+            raise ValueError(f"line {lineno}: {b:x} has bits beyond the {pairs} pairs")
+        if b & 1:
+            raise ValueError(f"line {lineno}: bit 0 set makes the empty set a member")
+        bits.append(b)
     return n, bits

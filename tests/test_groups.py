@@ -404,3 +404,15 @@ def test_validation_error_kinds():
     with pytest.raises(GroupValidationError) as exc:
         FiniteGroup([[1, 0], [0, 1]])
     assert exc.value.kind == "identity"
+
+
+def test_parse_cache_returns_the_same_group():
+    assert parse_spec("D6") is parse_spec("D6")
+
+
+def test_parse_cache_evicts_the_least_recently_used():
+    specs = ["x".join(["C1"] * k) for k in range(1, 66)]  # 65 distinct trivial groups
+    built = [parse_spec(s) for s in specs]
+    assert parse_spec(specs[1]) is built[1]  # a hit makes specs[1] the most recent
+    assert parse_spec(specs[0]) is not built[0]  # the oldest was evicted
+    assert parse_spec(specs[1]) is built[1]  # rebuilding specs[0] evicted specs[2], not specs[1]

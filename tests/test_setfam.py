@@ -1,5 +1,6 @@
 """Maximal linked systems, the semigroup product, the function representation."""
 
+import hashlib
 import io
 import random
 
@@ -343,3 +344,54 @@ def test_stream_round_trip():
     n, bits = read_mls_stream(buf)
     assert n == 4 and bits == [s.bits for s in sigs]
     assert buf.getvalue().splitlines()[0] == "n=4 pairs=8"
+
+
+def test_stream_rejects_bits_beyond_the_pairs():
+    with pytest.raises(ValueError, match="line 2"):
+        read_mls_stream(io.StringIO("n=2 pairs=2\nff\n2\n"))
+
+
+def test_stream_rejects_the_empty_set_as_member():
+    with pytest.raises(ValueError, match="line 3"):
+        read_mls_stream(io.StringIO("n=2 pairs=2\n2\n1\n"))
+
+
+def test_stream_rejects_a_header_without_pairs():
+    with pytest.raises(ValueError, match="line 1"):
+        read_mls_stream(io.StringIO("n=2\n2\n"))
+
+
+def test_stream_rejects_a_line_that_is_not_hexadecimal():
+    with pytest.raises(ValueError, match="line 2"):
+        read_mls_stream(io.StringIO("n=2 pairs=2\nzz\n"))
+
+
+def test_stream_round_trip_c5_d6():
+    for spec in ("C5", "D6"):
+        g = parse_spec(spec)
+        sigs = enumerate_mls(g)
+        buf = io.StringIO()
+        write_mls_stream(buf, g, sigs)
+        buf.seek(0)
+        assert read_mls_stream(buf) == (g.order, [s.bits for s in sigs]), spec
+
+
+# -- enumeration beyond order 5 ------------------------------------------------------------
+
+
+def test_two_orders_agree_on_order_six():
+    for spec in ("C6", "D6"):
+        g = parse_spec(spec)
+        a = [s.bits for s in enumerate_mls(g, order="skew_first")]
+        b = [s.bits for s in enumerate_mls(g, order="balanced_first")]
+        assert len(a) == 2646 and a == b, spec
+
+
+C7_DIGEST = "f9a49a7d961dc86156fb99e63e123009e4a1243de7a92954915b374ad32a3fc1"
+
+
+def test_order_seven_output_pinned():
+    """The sorted C7 signatures, pinned by the digest of the pair-loop enumerator."""
+    sigs = enumerate_mls(make_cyclic(7), budget=2_000_000)
+    assert len(sigs) == 1_422_564
+    assert hashlib.sha256(repr([s.bits for s in sigs]).encode()).hexdigest() == C7_DIGEST
