@@ -3,9 +3,8 @@
 Two independent routes: the structural one (maximal 2-cogroup orbits,
 characteristic groups, orbit counts) runs for any group of order <= 16;
 the brute one materializes the whole superextension semigroup and reads
-the answer off a Rees decomposition, feasible up to order 6 (7 with an
-explicit budget).  cross_check runs both and certifies agreement with an
-explicit isomorphism search.
+the answer off a Rees decomposition, up to order 6.  cross_check runs both
+and certifies agreement with an explicit isomorphism search.
 """
 
 from __future__ import annotations
@@ -16,20 +15,21 @@ from .groups import (
     FiniteGroup,
     InvariantError,
     MAX_PIPELINE_ORDER,
-    direct_product,
-    group_isomorphic,
-    make_cyclic,
-    make_generalized_quaternion,
+    make_cq_product,
     parse_spec,
     spec_order,
     subtable,
 )
-from .setfam import MlsSignature, circ, enumerate_mls, indexed_circ, phi, phi_inverse, family_to_signature
+from .setfam import (
+    MAX_ENUM_ORDER, MlsSignature, circ, enumerate_mls, indexed_circ, phi, phi_inverse, family_to_signature
+)
 from .twin import (
+    Tag,
     TwoCogroup,
     canonical_selector,
     cogroup_orbits,
     conjugate_cogroup,
+    cq_factors,
     fix_operators,
     maximal_2cogroups,
     tag_str,
@@ -41,8 +41,6 @@ from .semigroups import (
     rees_decompose,
     semigroup_isomorphic,
 )
-
-Tag = tuple[str, int]
 
 
 # -- type expressions ---------------------------------------------------------------
@@ -70,10 +68,6 @@ def type_string(m: int, q: dict[Tag, int]) -> str:
     return " x ".join(parts) if parts else "1"
 
 
-def group_type_string(q: dict[Tag, int]) -> str:
-    return type_string(0, q)
-
-
 def strip_left_zero_factor(type_str: str) -> str:
     parts = [p for p in type_str.split(" x ") if not (p == "2" or p.startswith("2^"))]
     return " x ".join(parts) if parts else "1"
@@ -97,15 +91,24 @@ class StructureReport:
     group_name: str
     q_vector: tuple[tuple[Tag, int], ...] = ()
     left_zero_exponent: int = 0
-    min_left_ideal_type: str = "1"
-    max_subgroup_type: str = "1"
-    idempotents_per_min_left_ideal: int = 1
     per_orbit: tuple[OrbitSummary, ...] = ()
     provenance: str = "structural"
     notes: tuple[str, ...] = ()
 
     def q_dict(self) -> dict[Tag, int]:
         return dict(self.q_vector)
+
+    @property
+    def min_left_ideal_type(self) -> str:
+        return type_string(self.left_zero_exponent, self.q_dict())
+
+    @property
+    def max_subgroup_type(self) -> str:
+        return type_string(0, self.q_dict())
+
+    @property
+    def idempotents_per_min_left_ideal(self) -> int:
+        return 1 << self.left_zero_exponent
 
     def to_json(self) -> dict:
         return {
@@ -148,26 +151,10 @@ class StructureReport:
             group_name=doc["group"],
             q_vector=q,
             left_zero_exponent=doc["m"],
-            min_left_ideal_type=doc["min_left_ideal"],
-            max_subgroup_type=doc["max_subgroup"],
-            idempotents_per_min_left_ideal=doc["idempotents"],
             per_orbit=per_orbit,
             provenance=doc["provenance"],
             notes=tuple(doc["notes"]),
         )
-
-
-def _report(name: str, m: int, q: dict[Tag, int], **route_fields) -> StructureReport:
-    """The report for the type 2^m x (product of q's factors)."""
-    return StructureReport(
-        group_name=name,
-        q_vector=tuple(sorted(q.items())),
-        left_zero_exponent=m,
-        min_left_ideal_type=type_string(m, q),
-        max_subgroup_type=group_type_string(q),
-        idempotents_per_min_left_ideal=1 << m,
-        **route_fields,
-    )
 
 
 # -- structural analysis ------------------------------------------------------------------
@@ -202,65 +189,28 @@ def analyze_structural(g: FiniteGroup, name: str = "?") -> StructureReport:
                 classification=tag,
             )
         )
-    return _report(name, m, q, per_orbit=tuple(per_orbit), provenance="structural")
+    return StructureReport(name, tuple(sorted(q.items())), m, per_orbit=tuple(per_orbit))
 
 
 # -- brute-force analysis ---------------------------------------------------------------
 
 
 def lambda_semigroup(g: FiniteGroup, budget: int | None = None) -> FiniteSemigroup:
-    """The whole superextension as a finite semigroup (orders <= 6, 7 with budget),
+    """The whole superextension as a finite semigroup (orders <= 6),
     multiplied through the function representation Phi."""
+    if g.order > MAX_ENUM_ORDER:
+        # lambda(C7) alone has 1,422,564 elements, each with a Phi table
+        raise ValueError(f"the superextension semigroup is built up to order {MAX_ENUM_ORDER}")
     sigs = enumerate_mls(g, budget=budget)
     return FiniteSemigroup(len(sigs), indexed_circ(sigs), labels=sigs, materialize=False)
 
 
-def _cq_factor_candidates(two_power: int) -> list[tuple[Tag, ...]]:
-    """All multisets of C/Q factor tags whose orders multiply to two_power."""
-    out: list[tuple[Tag, ...]] = []
-    tags: list[Tag] = []
-    t = two_power.bit_length() - 1
-    for k in range(1, t + 1):
-        tags.append(("C", k))
-    for k in range(3, t + 1):
-        tags.append(("Q", k))
-
-    def rec(remaining: int, start: int, acc: list[Tag]):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for i in range(start, len(tags)):
-            k = tags[i][1]
-            if k <= remaining:
-                acc.append(tags[i])
-                rec(remaining - k, i, acc)
-                acc.pop()
-
-    rec(t, 0, [])
-    return out
-
-
-def _build_factor_group(tags: tuple[Tag, ...]) -> FiniteGroup:
-    group = make_cyclic(1)
-    for fam, k in tags:
-        factor = make_cyclic(2**k) if fam == "C" else make_generalized_quaternion(2**k)
-        group = direct_product(group, factor)
-    return group
-
-
 def decompose_cq_type(h: FiniteGroup) -> dict[Tag, int]:
-    """Express a 2-group as a product of cyclic and quaternion factors."""
-    if h.order == 1:
-        return {}
-    if h.order & (h.order - 1):
-        raise ValueError("only 2-groups decompose into C/Q factors")
-    for cand in _cq_factor_candidates(h.order):
-        if group_isomorphic(h, _build_factor_group(cand)):
-            q: dict[Tag, int] = {}
-            for tag in cand:
-                q[tag] = q.get(tag, 0) + 1
-            return q
-    raise RuntimeError("no cyclic/quaternion factorization found")
+    """Express a 2-group as a product of cyclic and quaternion factors.
+
+    A function of its own, not an alias of twin.cq_factors: perfbench times
+    the Rees route's reading under this name."""
+    return cq_factors(h)
 
 
 def _brute_parts(g: FiniteGroup, budget: int | None = None):
@@ -282,8 +232,8 @@ def analyze_brute(g: FiniteGroup, name: str = "?", budget: int | None = None) ->
         raise RuntimeError("idempotent count of a minimal left ideal is not a power of two")
     m = count.bit_length() - 1
     q = decompose_cq_type(rees.group)
-    return _report(
-        name, m, q, provenance="brute",
+    return StructureReport(
+        name, tuple(sorted(q.items())), m, provenance="brute",
         notes=(f"superextension size {sem.size}, minimal left ideal size {len(ideal)}",),
     )
 
@@ -293,10 +243,7 @@ def analyze_brute(g: FiniteGroup, name: str = "?", budget: int | None = None) ->
 
 def build_type_semigroup(m: int, q: dict[Tag, int]) -> FiniteSemigroup:
     """(left zeros of size 2^m) x (product of the C/Q factors), explicitly."""
-    tags: list[Tag] = []
-    for tag, count in sorted(q.items()):
-        tags.extend([tag] * count)
-    h = _build_factor_group(tuple(tags))
+    h = make_cq_product(q)
     z = 1 << m
     size = z * h.order
     elements = [(a, b) for a in range(z) for b in range(h.order)]

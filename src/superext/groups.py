@@ -331,6 +331,16 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     return FiniteGroup(table, names=names)
 
 
+def make_cq_product(q) -> FiniteGroup:
+    """C_{2^k} and Q_{2^k} factors, q[(family, k)] of each, multiplied in sorted tag order."""
+    group = make_cyclic(1)
+    for (fam, k), count in sorted(q.items()):
+        for _ in range(count):
+            factor = make_cyclic(2**k) if fam == "C" else make_generalized_quaternion(2**k)
+            group = direct_product(group, factor)
+    return group
+
+
 # -- Cayley table documents -------------------------------------------------------
 
 
@@ -641,38 +651,41 @@ def find_isomorphism(t1, t2, gens, candidates, budget: int | None = None):
     """A bijection phi with phi[t1[a][b]] == t2[phi[a]][phi[b]], or None.
 
     Backtracks over distinct images of the generators (candidates[i] lists
-    the allowed images of gens[i]), extends each assignment by right
-    multiplication by the generators, and verifies the full table.  Raises
-    SearchBudgetExceeded once the extension steps exceed the budget.
+    the allowed images of gens[i]).  At every depth it extends the assigned
+    images by right multiplication by the assigned generators and drops the
+    branch on a conflict or a repeated image; a full assignment is verified
+    on the whole table.  Raises SearchBudgetExceeded once the extension
+    steps exceed the budget.
     """
     n = len(t1)
     images: list[int] = []
     ops = 0
 
     def extend():
-        """Map every element reachable from the generators; None on conflict."""
+        """Map everything the assigned generators reach; None on a conflict or a repeated image."""
         nonlocal ops
         phi = [-1] * n
-        for s, v in zip(gens, images):
-            phi[s] = v
-        frontier = list(gens)
-        while frontier:
-            x = frontier.pop()
-            ops += len(gens)
+        used = bytearray(n)
+        todo = list(zip(gens, images))
+        while todo:
+            x, v = todo.pop()
+            if phi[x] != -1:
+                if phi[x] != v:
+                    return None
+                continue
+            if used[v]:
+                return None
+            phi[x] = v
+            used[v] = 1
+            ops += len(images)
             if budget is not None and ops > budget:
                 raise SearchBudgetExceeded(f"isomorphism search exceeded {budget} steps")
-            row1, row2 = t1[x], t2[phi[x]]
-            for s, v in zip(gens, images):
-                y, w = row1[s], row2[v]
-                if phi[y] == -1:
-                    phi[y] = w
-                    frontier.append(y)
-                elif phi[y] != w:
-                    return None
+            row1, row2 = t1[x], t2[v]
+            todo.extend((row1[s], row2[w]) for s, w in zip(gens, images))
         return phi
 
     def is_isomorphism(phi) -> bool:
-        if phi is None or -1 in phi or len(set(phi)) != n:
+        if -1 in phi or len(set(phi)) != n:
             return False
         for a in range(n):
             r1, r2 = t1[a], t2[phi[a]]
@@ -681,8 +694,10 @@ def find_isomorphism(t1, t2, gens, candidates, budget: int | None = None):
         return True
 
     def backtrack(depth):
+        phi = extend()
+        if phi is None:
+            return None
         if depth == len(gens):
-            phi = extend()
             return phi if is_isomorphism(phi) else None
         for cand in candidates[depth]:
             if cand in images:
@@ -709,10 +724,6 @@ def group_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> bool:
         by_order.setdefault(g2.element_orders[x], []).append(x)
     candidates = [by_order.get(g1.element_orders[s], []) for s in gens]
     return find_isomorphism(g1.table, g2.table, gens, candidates) is not None
-
-
-def is_cyclic(g: FiniteGroup) -> bool:
-    return g.order in g.element_orders if g.order > 1 else True
 
 
 # -- finitely generated abelian presentations ----------------------------------------

@@ -7,6 +7,7 @@ ones implemented here and no operation takes an ideal parameter.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .groups import (
@@ -15,13 +16,15 @@ from .groups import (
     Subgroup,
     cogroup_masks,
     group_isomorphic,
-    is_cyclic,
-    make_generalized_quaternion,
+    invariant_factors,
+    make_cq_product,
     mask_elements,
     maximal_cogroup_masks,
     quotient,
     subtable,
 )
+
+Tag = tuple[str, int]  # ("C", k) is C_{2^k}, ("Q", k) is Q_{2^k}
 
 
 @dataclass(frozen=True)
@@ -152,19 +155,43 @@ class ClassificationError(RuntimeError):
     """A characteristic group failed the cyclic-or-quaternion shape guarantee."""
 
 
-def classify_unique_involution_2group(h: FiniteGroup) -> tuple[str, int]:
+def cq_factors(h: FiniteGroup) -> dict[Tag, int]:
+    """The C_{2^k} and Q_{2^k} factors of a 2-group, read off its invariants.
+
+    A cyclic or abelian group is named by its invariant factors.  Otherwise
+    each Q_{2^k} adds one C_{2^(k-2)} to the derived subgroup and one C2 to
+    the centre, and each C factor adds itself to the centre.  By
+    Krull-Schmidt that reading is the only candidate, so one isomorphism
+    search against its model decides.
+    """
+    n = h.order
+    if n & (n - 1):
+        raise ValueError("only 2-groups decompose into C/Q factors")
+    if n in h.element_orders:
+        return {("C", n.bit_length() - 1): 1} if n > 1 else {}
+    if h.is_abelian:
+        return dict(Counter(("C", f.bit_length() - 1) for f in invariant_factors(h)))
+    derived = FiniteGroup(subtable(h.mul, mask_elements(h.derived_subgroup_mask())))
+    centre = FiniteGroup(subtable(h.mul, mask_elements(h.center_mask())))
+    if derived.is_abelian:
+        tags = Counter(("Q", f.bit_length() + 1) for f in invariant_factors(derived))
+        tags[("C", 1)] -= sum(tags.values())
+        tags.update(("C", f.bit_length() - 1) for f in invariant_factors(centre))
+        # the order test keeps a non-C/Q group from building an oversized model
+        if min(tags.values()) >= 0 and sum(k * c for (_, k), c in tags.items()) == n.bit_length() - 1:
+            if group_isomorphic(h, make_cq_product(tags)):
+                return dict(+tags)  # without a zero C2 count
+    raise RuntimeError("no cyclic/quaternion factorization found")
+
+
+def classify_unique_involution_2group(h: FiniteGroup) -> Tag:
     """("C", k) or ("Q", k) for a 2-group with a unique involution; raises otherwise."""
     n = h.order
     if n & (n - 1):
         raise ClassificationError(f"order {n} is not a power of two")
-    k = n.bit_length() - 1
     if n > 1 and sum(1 for o in h.element_orders if o == 2) != 1:
         raise ClassificationError("group does not have a unique involution")
-    if is_cyclic(h):
-        return ("C", k)
-    if n >= 8 and group_isomorphic(h, make_generalized_quaternion(n)):
-        return ("Q", k)
-    raise ClassificationError("group is neither cyclic nor generalized quaternion")
+    return next(iter(cq_factors(h)), ("C", 0))  # the trivial group is C1
 
 
 def characteristic_group(k: TwoCogroup) -> tuple[FiniteGroup, tuple[str, int]]:

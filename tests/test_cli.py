@@ -178,3 +178,17 @@ def test_disagreement_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(cli.engine, "cross_check", fake_cross_check)
     code, out, _ = run_cli(capsys, "analyze", "C4", "--brute")
     assert code == EXIT_DISAGREE and "verdict: disagree" in out
+
+
+def test_brute_route_refuses_order_seven_before_enumerating(capsys, monkeypatch):
+    # lambda(C7) would hold 1,422,564 elements, each with a Phi table: the budget
+    # must not let the brute route start on it
+    from superext import engine
+
+    def enumerate_mls(*args, **kwargs):
+        raise AssertionError("lambda_semigroup enumerated an order-7 group")
+
+    monkeypatch.setattr(engine, "enumerate_mls", enumerate_mls)
+    for budget in ("100", "2000000"):
+        code, out, err = run_cli(capsys, "analyze", "C7", "--brute", "--budget", budget)
+        assert code == EXIT_INPUT and "order 6" in err and out == ""

@@ -61,3 +61,16 @@ def test_loader_witness_is_in_document_indices():
     assert exc.value.kind == "associativity"
     i, j, k = exc.value.witness
     assert t[t[i][j]][k] != t[i][t[j][k]]
+
+
+def test_bench_span_targets_resolve():
+    # the bench harness wraps these names by string: a rename would silently drop a span
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("tracing", SRC.parent / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = tracing.TARGETS + (tracing.CLI_TARGET,)
+    assert len(targets) > 1
+    for module, name, _ in targets:
+        assert callable(getattr(importlib.import_module(f"superext.{module}"), name, None)), (module, name)
