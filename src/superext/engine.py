@@ -16,17 +16,16 @@ from .groups import (
     InvariantError,
     MAX_PIPELINE_ORDER,
     make_cq_product,
+    mask_elements,
     parse_spec,
     spec_order,
     subtable,
 )
 from .setfam import (
-    MAX_ENUM_ORDER, MlsSignature, circ, enumerate_mls, indexed_circ, phi, phi_inverse, family_to_signature
+    MAX_ENUM_ORDER, MlsSignature, circ, enumerate_mls, indexed_circ, phi_table
 )
 from .twin import (
     Tag,
-    TwoCogroup,
-    canonical_selector,
     cogroup_orbits,
     conjugate_cogroup,
     cq_factors,
@@ -214,15 +213,12 @@ def decompose_cq_type(h: FiniteGroup) -> dict[Tag, int]:
 
 
 def _brute_parts(g: FiniteGroup, budget: int | None = None):
-    key = ("brute_parts", budget)
-    cached = g._caches.get(key)
-    if cached is None:
+    def build():
         sem = lambda_semigroup(g, budget=budget)
         ideal = minimal_left_ideal(sem)
-        rees = rees_decompose(sem, ideal)
-        cached = (sem, ideal, rees)
-        g._caches[key] = cached
-    return cached
+        return sem, ideal, rees_decompose(sem, ideal)
+
+    return g._cache(("brute_parts", budget), build)
 
 
 def analyze_brute(g: FiniteGroup, name: str = "?", budget: int | None = None) -> StructureReport:
@@ -314,7 +310,8 @@ def min_ideal_membership(g: FiniteGroup, system: MlsSignature) -> bool:
     maximal = {k.members for k in maximal_2cogroups(g)}
     fixm = [fix_operators(g, a)[1] for a in range(full + 1)]
     hat_t = [a for a in range(full + 1) if fixm[a] in maximal]
-    image = {phi(system, a) for a in hat_t}
+    values = phi_table(system)
+    image = {values[a] for a in hat_t}
     if any(fixm[b] not in maximal for b in image):
         return False
 
@@ -329,37 +326,34 @@ def min_ideal_membership(g: FiniteGroup, system: MlsSignature) -> bool:
             return False
 
     allowed = {0, full} | image
-    return all(phi(system, a) in allowed for a in range(full + 1))
+    return all(v in allowed for v in values)
 
 
 # -- an explicit idempotent hitting the selector twin family --------------------------------
 
 
-def build_projection_idempotent(
-    g: FiniteGroup, selector: list[TwoCogroup] | None = None
-) -> MlsSignature:
+def build_projection_idempotent(g: FiniteGroup) -> MlsSignature:
     """Constructs an idempotent of the superextension concretely.
 
-    Identity on the selector-generated twin family, equivariant collapse of
-    every other twin set onto it, and empty/full values elsewhere via a
-    greedily completed maximal invariant linked family.  The result is
-    verified to be idempotent; failure is a hard error.
+    Identity on the twin family of each orbit representative, equivariant
+    collapse of every other twin set onto it, and empty/full values
+    elsewhere via a greedily completed maximal invariant linked family.
+    The map is certified by the representation theorem: it equals Phi of
+    the signature read off its low half (so it is equivariant and
+    symmetric) and is monotone, so that signature is maximal linked; then
+    it is checked to be idempotent.  Any failure is a hard error.
     """
     if g.order > 6:
         raise ValueError("projection idempotent construction capped at order 6")
     full = g.full_mask()
     n = g.order
-    if selector is None:
-        selector = canonical_selector(g)
     orbits = cogroup_orbits(g)
     orbit_of_cogroup = {}
+    chosen_twin = {}
     for i, orbit in enumerate(orbits):
         for k in orbit.members:
             orbit_of_cogroup[k.members] = i
-    chosen_twin = {}
-    for k in selector:
-        i = orbit_of_cogroup[k.members]
-        chosen_twin[i] = (k, min(twin_sets_for(k).twin_masks))
+        chosen_twin[i] = (orbit.representative, min(twin_sets_for(orbit.representative).twin_masks))
 
     fixm = [fix_operators(g, a)[1] for a in range(full + 1)]
     e_map = [-1] * (full + 1)
@@ -373,30 +367,31 @@ def build_projection_idempotent(
             e_map[g.shift_mask(x, a)] = g.shift_mask(x, target)
 
     # non-twin sets: 0/1 values from a maximal invariant linked family,
-    # completed greedily over shift orbits by descending member size
-    invariant_linked: set[int] = set()
-    seen = set()
-    orbit_families = []
-    for a in range(full + 1):
-        if a in seen:
-            continue
-        fam = sorted({g.shift_mask(x, a) for x in range(n)})
-        seen.update(fam)
-        orbit_families.append(fam)
-    orbit_families.sort(key=lambda fam: (-fam[0].bit_count(), fam[0]))
-    for fam in orbit_families:
-        ok = all(a & b for i, a in enumerate(fam) for b in fam[i:]) and all(
-            a & b for a in fam for b in invariant_linked
-        )
-        if ok:
-            invariant_linked.update(fam)
-    for a in range(full + 1):
+    # completed greedily by descending size: the shift orbit of a joins
+    # unless X\a already has.  This is the greedy that takes an orbit when
+    # it is pairwise intersecting and meets every member taken before it.
+    # That family stays upward closed (a superset of a member comes earlier
+    # and passes both tests as well), so a misses a member iff X\a is one.
+    # A non-twin a missing its shift xa has xa inside X\a: if |a| < n/2,
+    # the larger X\a came first and joined, as a had not; |a| = n/2 would
+    # make xa = X\a and a a twin set.
+    for a in sorted(range(full + 1), key=lambda m: (-m.bit_count(), m)):
         if e_map[a] == -1:
-            e_map[a] = full if a in invariant_linked else 0
+            v = 0 if e_map[a ^ full] == full else full
+            for x in range(n):
+                e_map[g.shift_mask(x, a)] = v
 
-    family = phi_inverse(e_map, g)  # validates equivariance
-    _assert_monotone_symmetric(g, e_map)
-    sig = family_to_signature(family)
+    half = 1 << (n - 1)
+    sig = MlsSignature(g, sum(1 << p for p in range(half) if e_map[p] & 1))
+    if phi_table(sig) != tuple(e_map):
+        raise RuntimeError("constructed projection is not Phi of its own family")
+    # monotone on covering pairs is monotone; with the equality above, the
+    # representation theorem makes sig maximal linked
+    for a in range(full + 1):
+        for x in mask_elements(full ^ a):
+            b = a | 1 << x
+            if e_map[a] & ~e_map[b]:
+                raise RuntimeError(f"projection not monotone at {a} <= {b}")
     if circ(sig, sig).bits != sig.bits:
         raise RuntimeError("constructed projection is not idempotent")
     return sig
@@ -422,20 +417,6 @@ def _collapse_target(g, a, k_mask, orbits, orbit_of_cogroup, chosen_twin):
         # `a` lies in the selector orbit itself: keep the identity there
         return a
     return target
-
-
-def _assert_monotone_symmetric(g: FiniteGroup, e_map) -> None:
-    full = g.full_mask()
-    for a in range(full + 1):
-        if e_map[a ^ full] != e_map[a] ^ full:
-            raise RuntimeError(f"projection not symmetric at {a}")
-        b = a
-        while True:
-            b = (b + 1) | a
-            if b > full:
-                break
-            if e_map[a] & e_map[b] != e_map[a]:
-                raise RuntimeError(f"projection not monotone at {a} <= {b}")
 
 
 # -- the reference table ----------------------------------------------------------------------

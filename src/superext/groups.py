@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import combinations, permutations
 from math import gcd
 
 MAX_PIPELINE_ORDER = 16
@@ -236,95 +236,47 @@ def make_cyclic(n: int) -> FiniteGroup:
     return FiniteGroup(table, names=[str(i) for i in range(n)])
 
 
+def _metacyclic(n: int, square: int, letters: tuple[str, str]) -> FiniteGroup:
+    """r^i then r^i*s for i < n, with s r s^-1 = r^-1 and s^2 = r^square."""
+    r, s = letters
+
+    def mul(a, b):
+        (i, f), (j, h) = a, b
+        return ((i - j if f else i + j) + (square if f and h else 0)) % n, f ^ h
+
+    elems = [(i, f) for f in (0, 1) for i in range(n)]
+    names = [f"{r}{i}" for i in range(n)] + [f"{r}{i}{s}" for i in range(n)]
+    return FiniteGroup(subtable(mul, elems), names=names)
+
+
 def make_dihedral(two_n: int) -> FiniteGroup:
     """Dihedral group of order two_n: rotations r^i then reflections r^i*s."""
     if two_n < 2 or two_n % 2:
         raise ValueError("dihedral order must be a positive even integer")
     if two_n > MAX_GROUP_ORDER:
         raise ValueError(f"order {two_n} exceeds cap {MAX_GROUP_ORDER}")
-    n = two_n // 2
-
-    def idx(i, s):
-        return i % n + (n if s else 0)
-
-    table = []
-    for a in range(two_n):
-        ia, sa = a % n, a >= n
-        row = []
-        for b in range(two_n):
-            ib, sb = b % n, b >= n
-            # (r^ia s^sa)(r^ib s^sb): s r^k = r^-k s
-            row.append(idx(ia - ib if sa else ia + ib, sa ^ sb))
-        table.append(row)
-    names = [f"r{i}" for i in range(n)] + [f"r{i}s" for i in range(n)]
-    return FiniteGroup(table, names=names)
+    return _metacyclic(two_n // 2, 0, ("r", "s"))
 
 
 def make_generalized_quaternion(two_pow: int) -> FiniteGroup:
     """Generalized quaternion group: y of order two_pow/2, x^2 = y^(two_pow/4), x y x^-1 = y^-1."""
     if two_pow not in (8, 16, 32, 64):
         raise ValueError("generalized quaternion order must be one of 8, 16, 32, 64")
-    h = two_pow // 2
-
-    def idx(i, s):
-        return i % h + (h if s else 0)
-
-    table = []
-    for a in range(two_pow):
-        ia, sa = a % h, a >= h
-        row = []
-        for b in range(two_pow):
-            ib, sb = b % h, b >= h
-            if not sa and not sb:
-                row.append(idx(ia + ib, False))
-            elif not sa:
-                row.append(idx(ia + ib, True))
-            elif not sb:
-                # (y^ia x)(y^ib) = y^(ia-ib) x
-                row.append(idx(ia - ib, True))
-            else:
-                # (y^ia x)(y^ib x) = y^(ia-ib) x^2 = y^(ia-ib+h/2)
-                row.append(idx(ia - ib + h // 2, False))
-        table.append(row)
-    names = [f"y{i}" for i in range(h)] + [f"y{i}x" for i in range(h)]
-    return FiniteGroup(table, names=names)
+    return _metacyclic(two_pow // 2, two_pow // 4, ("y", "x"))
 
 
 def make_alternating4() -> FiniteGroup:
-    """Even permutations of 4 points under composition."""
-    perms = []
-    for p in permutations(range(4)):
-        if _parity(p) == 0:
-            perms.append(p)
-    perms.sort()  # identity (0,1,2,3) sorts first
-    index = {p: i for i, p in enumerate(perms)}
-    table = [
-        [index[tuple(p[q[k]] for k in range(4))] for q in perms]
-        for p in perms
-    ]
-    names = ["".join(str(v) for v in p) for p in perms]
-    return FiniteGroup(table, names=names)
-
-
-def _parity(p) -> int:
-    inv = sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
-    return inv % 2
+    """Even permutations of 4 points under composition, the identity first."""
+    perms = [p for p in permutations(range(4)) if sum(x > y for x, y in combinations(p, 2)) % 2 == 0]
+    table = subtable(lambda p, q: tuple(p[k] for k in q), perms)
+    return FiniteGroup(table, names=["".join(map(str, p)) for p in perms])
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     if g.order * h.order > MAX_GROUP_ORDER:
         raise ValueError(f"product order {g.order * h.order} exceeds cap {MAX_GROUP_ORDER}")
-    nh = h.order
-
-    def idx(a, b):
-        return a * nh + b
-
-    table = []
-    for a in range(g.order):
-        for b in range(nh):
-            table.append(
-                [idx(g.table[a][c], h.table[b][d]) for c in range(g.order) for d in range(nh)]
-            )
+    pairs = [(a, b) for a in range(g.order) for b in range(h.order)]
+    table = subtable(lambda x, y: (g.table[x[0]][y[0]], h.table[x[1]][y[1]]), pairs)
     names = None
     if g.names and h.names:
         names = [f"{ga},{hb}" for ga in g.names for hb in h.names]
@@ -796,13 +748,13 @@ def _make_atom(token: str, position: int) -> FiniteGroup:
     if not m:
         raise SpecError(f"bad token {token!r} at position {position}; expected {GRAMMAR}", position)
     letter, num = m.group(1), int(m.group(2))
+    if letter == "Q" and num not in (8, 16, 32):
+        raise SpecError(f"Q{num} not supported at position {position}; use Q8, Q16 or Q32", position)
     try:
         if letter == "C":
             return make_cyclic(num)
         if letter == "D":
             return make_dihedral(num)
-        if num not in (8, 16, 32):
-            raise SpecError(f"Q{num} not supported at position {position}; use Q8, Q16 or Q32", position)
         return make_generalized_quaternion(num)
     except ValueError as exc:
         raise SpecError(f"{exc} (token {token!r} at position {position})", position) from exc

@@ -150,11 +150,8 @@ def enumerate_mls(
     if n > MAX_ENUM_ORDER and budget is None:
         raise ValueError(f"order {n} enumeration requires an explicit budget")
 
-    key = ("mls_enum", order)
-    cached = g._caches.get(key)
-    if cached is None:
-        cached = _enumerate_bits(n, order, budget)  # raises BudgetExceeded mid-stream
-        g._caches[key] = cached
+    # BudgetExceeded raised mid-stream leaves nothing cached
+    cached = g._cache(("mls_enum", order), lambda: _enumerate_bits(n, order, budget))
     if budget is not None and len(cached) > budget:
         raise BudgetExceeded(budget)
     # signatures hold no cycles; at order 7 (1.4 M of them) collector passes

@@ -19,8 +19,10 @@ from .groups import (
     invariant_factors,
     make_cq_product,
     mask_elements,
+    mask_from_elements,
     maximal_cogroup_masks,
     quotient,
+    subgroup_closure,
     subtable,
 )
 
@@ -327,33 +329,15 @@ class TwinicResult:
 def is_trivially_twinic(g: FiniteGroup) -> TwinicResult:
     """Whether every product ab lies in the subsemigroup generated by b+- a+-.
 
-    Breadth-first semigroup closure with a visited bit set; the closure
-    stabilizes in at most |X| growth rounds.  On failure the witness pair
-    (a, b) is returned.
+    In a finite group the subsemigroup a set generates is the subgroup it
+    generates (each element's powers reach its inverse and the identity),
+    so one subgroup closure decides each pair.  On failure the first
+    witness pair (a, b) in row-major order is returned.
     """
-    n = g.order
-    for a in range(n):
-        ai = g.inv[a]
-        for b in range(n):
-            target = g.table[a][b]
-            bi = g.inv[b]
-            gens = {g.table[b][a], g.table[b][ai], g.table[bi][a], g.table[bi][ai]}
-            if target in gens:
-                continue
-            closure = set(gens)
-            frontier = set(gens)
-            found = False
-            while frontier and not found:
-                new = set()
-                for x in frontier:
-                    for s in gens:
-                        for z in (g.table[x][s], g.table[s][x]):
-                            if z == target:
-                                found = True
-                            if z not in closure:
-                                closure.add(z)
-                                new.add(z)
-                frontier = new
-            if not found and target not in closure:
+    t, inv = g.table, g.inv
+    for a in range(g.order):
+        for b in range(g.order):
+            gens = mask_from_elements(t[y][x] for y in (b, inv[b]) for x in (a, inv[a]))
+            if not subgroup_closure(g, gens) >> t[a][b] & 1:
                 return TwinicResult(False, (a, b))
     return TwinicResult(True, None)

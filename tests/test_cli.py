@@ -192,3 +192,13 @@ def test_brute_route_refuses_order_seven_before_enumerating(capsys, monkeypatch)
     for budget in ("100", "2000000"):
         code, out, err = run_cli(capsys, "analyze", "C7", "--brute", "--budget", budget)
         assert code == EXIT_INPUT and "order 6" in err and out == ""
+
+
+def test_unsupported_quaternion_names_its_position_once(capsys):
+    code, out, err = run_cli(capsys, "analyze", "C2xQ64")
+    assert code == EXIT_INPUT and out == ""
+    assert err == "error: Q64 not supported at position 3; use Q8, Q16 or Q32\n"
+    with pytest.raises(SpecError) as exc:
+        parse_spec("Q64")
+    assert str(exc.value) == "Q64 not supported at position 0; use Q8, Q16 or Q32"
+    assert exc.value.position == 0

@@ -1,0 +1,85 @@
+"""Byte-level pins of constructor tables and of the projection idempotent.
+
+Golden CLI outputs print masks, so element order is part of the contract:
+each family of constructed groups is pinned by one sha256 of its
+(table, names) pairs, and the projection idempotent by its signature bits.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from superext.engine import build_projection_idempotent, catalog_specs
+from superext.groups import (
+    FiniteGroup,
+    direct_product,
+    make_alternating4,
+    make_cyclic,
+    make_dihedral,
+    make_generalized_quaternion,
+    parse_spec,
+)
+
+
+def _products():
+    c2 = make_cyclic(2)
+    unnamed = FiniteGroup(make_cyclic(3).table)
+    return [
+        direct_product(make_dihedral(6), c2),
+        direct_product(c2, make_generalized_quaternion(8)),
+        direct_product(make_alternating4(), c2),
+        direct_product(make_cyclic(3), make_dihedral(8)),
+        direct_product(make_dihedral(4), make_cyclic(4)),
+        direct_product(unnamed, c2),
+    ]
+
+
+FAMILIES = {
+    "dihedral": (
+        lambda: [make_dihedral(n) for n in range(2, 65, 2)],
+        "7d19c08735b47ddf40ea6ccb2d158ce73412099273922fe01f85aa3da6ebd055",
+    ),
+    "quaternion": (
+        lambda: [make_generalized_quaternion(n) for n in (8, 16, 32, 64)],
+        "5f78b362284d1131b0af49ebaaa3076541b0fde71345bb588a08db6be7eb7311",
+    ),
+    "alternating4": (
+        lambda: [make_alternating4()],
+        "e4e8ea411934c555845325c73786d80dfa6d7176898348803a5457efdb5d7441",
+    ),
+    "products": (
+        _products,
+        "56062dcdc878a8fa8483f3325b2a46a878454306cb98652674bfdee1ac1625ce",
+    ),
+}
+
+
+def _digest(groups) -> str:
+    h = hashlib.sha256()
+    for g in groups:
+        h.update(json.dumps([g.table, g.names]).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_constructor_tables_pinned(family):
+    build, expected = FAMILIES[family]
+    assert _digest(build()) == expected
+
+
+PROJECTION_BITS = {
+    "C1": 0x0,
+    "C2": 0x2,
+    "C3": 0x8,
+    "C4": 0xA8,
+    "C5": 0xE880,
+    "C6": 0xFAE08880,
+    "C2xC2": 0xA8,
+    "D6": 0xE8E8E880,
+}
+
+
+def test_projection_idempotent_bits_pinned():
+    got = {spec: build_projection_idempotent(parse_spec(spec)).bits for spec in catalog_specs(6)}
+    assert got == PROJECTION_BITS
