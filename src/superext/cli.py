@@ -1,7 +1,7 @@
 """Command-line surface: analysis, table reproduction, MLS counting.
 
 Exit codes are a stable contract: 0 success/agree, 2 cross-check
-disagreement, 3 budget exceeded, 4 input error.
+disagreement, 3 budget exceeded, 4 input error (usage errors included).
 """
 
 from __future__ import annotations
@@ -112,8 +112,27 @@ def cmd_mls_count(spec: str, out_path, budget) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors: exit 4, not argparse's 2, which the
+    contract gives to disagreements.  Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
+def _budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"budget must be a non-negative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="superext",
         description="Structure of minimal left ideals of superextensions of finite groups",
     )
@@ -123,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("spec", help=GRAMMAR)
     p_an.add_argument("--brute", action="store_true", help="also run the brute-force route and cross-check")
     p_an.add_argument("--json", action="store_true")
-    p_an.add_argument("--budget", type=int, default=None, help="enumeration budget (systems)")
+    p_an.add_argument("--budget", type=_budget, default=None, help="enumeration budget (systems)")
     p_an.add_argument("--seed", type=int, default=0, help="seed for sampled invariant checks")
 
     p_tab = sub.add_parser("table", help="reproduce the reference table of small groups")
@@ -132,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mls = sub.add_parser("mls-count", help="count maximal linked systems")
     p_mls.add_argument("spec", help=GRAMMAR)
     p_mls.add_argument("--out", default=None, help="write the signature stream to this file")
-    p_mls.add_argument("--budget", type=int, default=None)
+    p_mls.add_argument("--budget", type=_budget, default=None)
 
     return parser
 

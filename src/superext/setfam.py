@@ -9,9 +9,10 @@ membership is O(1).  Explicit families are only materialized for general
 
 from __future__ import annotations
 
-import gc
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import repeat
+from operator import index as int_index, itemgetter
 
 from .groups import FiniteGroup
 
@@ -118,7 +119,9 @@ def family_to_signature(f: FamilyOfSets) -> MlsSignature:
 def _pair_order(n: int, order: str) -> list[int]:
     half = 1 << (n - 1)
     reps = list(range(1, half))  # the {empty, X} pair is pre-forced
-    if order == "skew_first":
+    if order == "descending":
+        reps.reverse()
+    elif order == "skew_first":
         # most-skewed pairs first; balanced pairs constrain least and go last
         reps.sort(key=lambda p: (min(p.bit_count(), n - p.bit_count()), p))
     elif order == "balanced_first":
@@ -128,9 +131,27 @@ def _pair_order(n: int, order: str) -> list[int]:
     return reps
 
 
-def enumerate_mls(
-    g: FiniteGroup, order: str = "skew_first", budget: int | None = None
-) -> list[MlsSignature]:
+class MlsSequence(Sequence):
+    """Read-only systems over one group, kept as signature bits; each
+    MlsSignature is built only when it is read."""
+
+    __slots__ = ("group", "_bits")
+
+    def __init__(self, group: FiniteGroup, bits: list[int]):
+        self.group = group
+        self._bits = bits
+
+    def __len__(self) -> int:
+        return len(self._bits)
+
+    def __getitem__(self, i: int) -> MlsSignature:
+        return MlsSignature(self.group, self._bits[int_index(i)])
+
+    def __iter__(self):
+        return map(MlsSignature, repeat(self.group), self._bits)
+
+
+def enumerate_mls(g: FiniteGroup, order: str = "descending", budget: int | None = None) -> MlsSequence:
     """Every maximal linked system on g exactly once, sorted by signature.
 
     Branches over complementary pairs with unit propagation on two bitsets
@@ -141,8 +162,23 @@ def enumerate_mls(
     of M, so what that member forces is already in M's tables.  No branch
     fails, so inb & outb stays 0: an undecided p meets every committed
     member (else p was forced out), and so does X\\p (else p was forced
-    in), so the committed members stay pairwise intersecting.  Orders
-    beyond 6 require an explicit budget; order 8+ is refused.
+    in), so the committed members stay pairwise intersecting.
+
+    Sorted without a sort in the default "descending" order: at the node
+    that branches on p every pair above p is decided, and the X\\p branch,
+    taken first, leaves bit p at 0 where the p branch sets it, so the
+    search emits ascending signatures.  "skew_first" and "balanced_first"
+    are sorted afterwards and serve as references.
+
+    Small tails are memoized: what a member forces among the undecided
+    pairs U depends only on the member (outside U it only repeats what is
+    decided, since no branch fails), and the next pair to branch on is
+    the first of U in the order, so the in-bits that the search adds below
+    a node depend on U alone.  Adding them to a node's inb keeps them in
+    order, since inb has no bit in U.
+
+    Returns an MlsSequence over the cached bits.  Orders beyond 6 require
+    an explicit budget; order 8+ is refused.
     """
     n = g.order
     if n > MAX_ENUM_ORDER_WITH_BUDGET:
@@ -154,15 +190,15 @@ def enumerate_mls(
     cached = g._cache(("mls_enum", order), lambda: _enumerate_bits(n, order, budget))
     if budget is not None and len(cached) > budget:
         raise BudgetExceeded(budget)
-    # signatures hold no cycles; at order 7 (1.4 M of them) collector passes
-    # over the growing list would cost twice the construction itself
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        return [MlsSignature(g, b) for b in cached]
-    finally:
-        if collecting:
-            gc.enable()
+    return MlsSequence(g, cached)
+
+
+# Tails below nodes with at most this many undecided pairs are memoized.
+# Search alone at C7 (1,422,564 systems; best of 5, 2-core box, Python
+# 3.11.7): 1.90 s unmemoized, 0.92 s with 2, 0.50 s with 4, 0.30 s with
+# 6, 0.23-0.25 s with 7-8, 0.33 s with 10 and 0.40 s with 12.  With 8 the
+# memo holds 4,852 tails of 176,293 ints in all.
+MEMO_MAX_UNDECIDED = 8
 
 
 def _enumerate_bits(n: int, order: str, budget: int | None) -> list[int]:
@@ -179,22 +215,35 @@ def _enumerate_bits(n: int, order: str, budget: int | None) -> list[int]:
     steps = [(force_in[p], force_out[p], force_out[p ^ full]) for p in reps]
     every = (1 << half) - 1
     out: list[int] = []
+    memo: dict[int, list[int]] = {}
 
     def search(i: int, inb: int, outb: int):
-        decided = inb | outb
-        if decided == every:
+        undecided = every ^ (inb | outb)
+        if not undecided:
             out.append(inb)
-            if budget is not None and len(out) > budget:
-                raise BudgetExceeded(budget)
+        elif undecided.bit_count() > MEMO_MAX_UNDECIDED:
+            branch(i, inb, outb, undecided)
             return
-        while decided & bits[i]:  # stops: pairs before i are decided, one is not
+        elif (tail := memo.get(undecided)) is not None:
+            out.extend([inb | c for c in tail])
+        else:
+            start = len(out)
+            branch(i, inb, outb, undecided)
+            memo[undecided] = [x ^ inb for x in out[start:]]
+            return
+        if budget is not None and len(out) > budget:
+            raise BudgetExceeded(budget)
+
+    def branch(i: int, inb: int, outb: int, undecided: int):
+        while not undecided & bits[i]:  # stops: pairs before i are decided, one is not
             i += 1
         p_in, p_out, comp_out = steps[i]
-        search(i + 1, inb | p_in, outb | p_out)  # member p
         search(i + 1, inb, outb | comp_out)  # member X\p: it holds n-1, so no superset is a representative
+        search(i + 1, inb | p_in, outb | p_out)  # member p
 
     search(0, 0, 1)  # bit 0 out: the {empty, X} pair's member is X
-    out.sort()
+    if order != "descending":
+        out.sort()
     return out
 
 

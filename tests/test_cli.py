@@ -150,6 +150,57 @@ def test_mls_count_budget(capsys):
     assert code == EXIT_BUDGET and "partial=true" in out
 
 
+def test_mls_count_builds_no_signatures(capsys, monkeypatch):
+    from superext import setfam
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a signature object was built only to be counted")
+
+    monkeypatch.setattr(setfam, "MlsSignature", refuse)
+    code, out, _ = run_cli(capsys, "mls-count", "C6")
+    assert code == EXIT_OK and out == "count=2646 partial=false\n"
+
+
+def test_mls_count_budget_edge(capsys):
+    code, out, _ = run_cli(capsys, "mls-count", "C6", "--budget", "2645")
+    assert code == EXIT_BUDGET and out == "count>=2645 partial=true\n"
+    code, out, _ = run_cli(capsys, "mls-count", "C6", "--budget", "2646")
+    assert code == EXIT_OK and out == "count=2646 partial=false\n"
+
+
+def usage_exit(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def test_non_integer_budget_is_input_error(capsys):
+    code, out, err = usage_exit(capsys, "mls-count", "C3", "--budget", "abc")
+    assert code == EXIT_INPUT and out == "" and "--budget" in err
+
+
+def test_missing_spec_is_input_error(capsys):
+    code, out, err = usage_exit(capsys, "analyze")
+    assert code == EXIT_INPUT and out == "" and "spec" in err
+
+
+def test_negative_budget_is_input_error(capsys):
+    for command in (("mls-count", "C3"), ("analyze", "C3", "--brute")):
+        code, out, err = usage_exit(capsys, *command, "--budget", "-5")
+        assert code == EXIT_INPUT and out == "" and "non-negative" in err, command
+
+
+def test_zero_budget_stays_valid(capsys):
+    code, out, _ = run_cli(capsys, "mls-count", "C3", "--budget", "0")
+    assert code == EXIT_BUDGET and out == "count>=0 partial=true\n"
+
+
+def test_help_exits_zero(capsys):
+    code, out, _ = usage_exit(capsys, "--help")
+    assert code == EXIT_OK and "mls-count" in out
+
+
 def test_mls_count_stream(tmp_path, capsys):
     out_path = tmp_path / "c4.mls"
     code, _, _ = run_cli(capsys, "mls-count", "C4", "--out", str(out_path))

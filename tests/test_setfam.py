@@ -3,6 +3,7 @@
 import hashlib
 import io
 import random
+from collections.abc import Sequence
 
 import pytest
 
@@ -108,7 +109,8 @@ def test_two_orders_agree_through_order_five():
         g = make_cyclic(n)
         a = [s.bits for s in enumerate_mls(g, order="skew_first")]
         b = [s.bits for s in enumerate_mls(g, order="balanced_first")]
-        assert a == b
+        c = [s.bits for s in enumerate_mls(g, order="descending")]
+        assert a == b == c
 
 
 def test_order_one_single_system():
@@ -384,7 +386,8 @@ def test_two_orders_agree_on_order_six():
         g = parse_spec(spec)
         a = [s.bits for s in enumerate_mls(g, order="skew_first")]
         b = [s.bits for s in enumerate_mls(g, order="balanced_first")]
-        assert len(a) == 2646 and a == b, spec
+        c = [s.bits for s in enumerate_mls(g, order="descending")]
+        assert len(a) == 2646 and a == b == c, spec
 
 
 C7_DIGEST = "f9a49a7d961dc86156fb99e63e123009e4a1243de7a92954915b374ad32a3fc1"
@@ -395,3 +398,40 @@ def test_order_seven_output_pinned():
     sigs = enumerate_mls(make_cyclic(7), budget=2_000_000)
     assert len(sigs) == 1_422_564
     assert hashlib.sha256(repr([s.bits for s in sigs]).encode()).hexdigest() == C7_DIGEST
+
+
+def _all_or_budget(g, budget):
+    """The systems within budget, or BudgetExceeded carrying exactly the budget."""
+    try:
+        return [s.bits for s in enumerate_mls(g, budget=budget)]
+    except BudgetExceeded as exc:
+        assert exc.count_so_far == budget
+        return None
+
+
+def test_every_budget_on_order_five():
+    full = [s.bits for s in enumerate_mls(make_cyclic(5))]
+    for budget in range(82):
+        got = _all_or_budget(make_cyclic(5), budget)
+        assert got == (full if budget >= 81 else None), budget
+
+
+def test_budgets_inside_memoized_tails_on_order_six():
+    # a budget that runs out while a memoized tail is copied must stop there
+    full = [s.bits for s in enumerate_mls(make_cyclic(6))]
+    g = make_cyclic(6)  # a raised budget caches nothing, so one group serves the sweep
+    for budget in [*range(0, 2646, 29), 2645, 2646, 2647]:
+        got = _all_or_budget(g, budget)
+        assert got == (full if budget >= 2646 else None), budget
+
+
+def test_enumeration_is_a_lazy_read_only_sequence():
+    g = make_cyclic(5)
+    sigs = enumerate_mls(g)
+    assert isinstance(sigs, Sequence) and len(sigs) == 81
+    assert [s.bits for s in sigs] == [sigs[i].bits for i in range(81)]
+    assert sigs[-1] == sigs[80] and sigs[0].group is g
+    with pytest.raises(TypeError):
+        sigs[1:3]
+    with pytest.raises(IndexError):
+        sigs[81]
