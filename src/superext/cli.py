@@ -59,8 +59,8 @@ def cmd_analyze(spec: str, brute: bool, as_json: bool, budget, seed: int) -> int
     if group.order > MAX_PIPELINE_ORDER:
         print(f"error: order {group.order} exceeds the pipeline cap {MAX_PIPELINE_ORDER}", file=sys.stderr)
         return EXIT_INPUT
-    structural = engine.analyze_structural(group, spec)
     if not brute:
+        structural = engine.analyze_structural(group, spec)
         if as_json:
             print(json.dumps(structural.to_json(), indent=2, sort_keys=True))
         else:

@@ -29,7 +29,7 @@ from .twin import (
     cogroup_orbits,
     conjugate_cogroup,
     cq_factors,
-    fix_operators,
+    fix_minus_table,
     maximal_2cogroups,
     tag_str,
     twin_sets_for,
@@ -308,7 +308,7 @@ def min_ideal_membership(g: FiniteGroup, system: MlsSignature) -> bool:
     """
     full = g.full_mask()
     maximal = {k.members for k in maximal_2cogroups(g)}
-    fixm = [fix_operators(g, a)[1] for a in range(full + 1)]
+    fixm = fix_minus_table(g)
     hat_t = [a for a in range(full + 1) if fixm[a] in maximal]
     values = phi_table(system)
     image = {values[a] for a in hat_t}
@@ -333,38 +333,45 @@ def min_ideal_membership(g: FiniteGroup, system: MlsSignature) -> bool:
 
 
 def build_projection_idempotent(g: FiniteGroup) -> MlsSignature:
-    """Constructs an idempotent of the superextension concretely.
+    """Constructs an idempotent of the superextension concretely (orders <= 16).
 
-    Identity on the twin family of each orbit representative, equivariant
-    collapse of every other twin set onto it, and empty/full values
-    elsewhere via a greedily completed maximal invariant linked family.
+    Identity on the selector family: the least twin set over each orbit
+    representative, carried to each conjugate K by the first x with
+    x*rep*x^-1 = K.  Any other twin set a collapses equivariantly onto the
+    selector twin set of the smallest maximal 2-cogroup containing Fix-(a),
+    read off the group's Fix- table; non-twin sets get empty/full values
+    from a greedily completed maximal invariant linked family.
     The map is certified by the representation theorem: it equals Phi of
     the signature read off its low half (so it is equivariant and
     symmetric) and is monotone, so that signature is maximal linked; then
     it is checked to be idempotent.  Any failure is a hard error.
     """
-    if g.order > 6:
-        raise ValueError("projection idempotent construction capped at order 6")
+    if g.order > MAX_PIPELINE_ORDER:
+        raise ValueError(f"projection idempotent construction capped at order {MAX_PIPELINE_ORDER}")
     full = g.full_mask()
     n = g.order
-    orbits = cogroup_orbits(g)
-    orbit_of_cogroup = {}
-    chosen_twin = {}
-    for i, orbit in enumerate(orbits):
-        for k in orbit.members:
-            orbit_of_cogroup[k.members] = i
-        chosen_twin[i] = (orbit.representative, min(twin_sets_for(orbit.representative).twin_masks))
+    target_of = {}  # maximal 2-cogroup -> its selector twin set
+    for orbit in cogroup_orbits(g):
+        rep = orbit.representative
+        twin = min(twin_sets_for(rep).twin_masks)
+        for x in range(n):
+            target_of.setdefault(conjugate_cogroup(rep, x), g.shift_mask(x, twin))
+    maximal = sorted(target_of)
 
-    fixm = [fix_operators(g, a)[1] for a in range(full + 1)]
+    fixm = fix_minus_table(g)
     e_map = [-1] * (full + 1)
 
     # twin sets: collapse X-orbits onto the selector family
     for a in range(full + 1):
         if e_map[a] != -1 or not fixm[a]:
             continue
-        target = _collapse_target(g, a, fixm[a], orbits, orbit_of_cogroup, chosen_twin)
+        k_star = next(k for k in maximal if k & fixm[a] == fixm[a])
+        target = target_of[k_star]
+        shifts = [g.shift_mask(x, a) for x in range(n)]
+        if target in shifts:
+            target = a  # a lies in the selector orbit itself: keep the identity there
         for x in range(n):
-            e_map[g.shift_mask(x, a)] = g.shift_mask(x, target)
+            e_map[shifts[x]] = g.shift_mask(x, target)
 
     # non-twin sets: 0/1 values from a maximal invariant linked family,
     # completed greedily by descending size: the shift orbit of a joins
@@ -397,28 +404,6 @@ def build_projection_idempotent(g: FiniteGroup) -> MlsSignature:
     return sig
 
 
-def _collapse_target(g, a, k_mask, orbits, orbit_of_cogroup, chosen_twin):
-    """Twin set the orbit of `a` collapses onto: lives over a maximal
-    2-cogroup containing Fix-(a), inside the selector family."""
-    enclosing = sorted(
-        k.members for k in maximal_2cogroups(g) if k.members & k_mask == k_mask
-    )
-    k_star = enclosing[0]
-    oi = orbit_of_cogroup[k_star]
-    rep_k, rep_twin = chosen_twin[oi]
-    if k_star == rep_k.members:
-        z = 0
-    else:
-        z = next(
-            x for x in range(g.order) if conjugate_cogroup(rep_k, x) == k_star
-        )
-    target = g.shift_mask(z, rep_twin)
-    if a == target or any(g.shift_mask(x, a) == target for x in range(g.order)):
-        # `a` lies in the selector orbit itself: keep the identity there
-        return a
-    return target
-
-
 # -- the reference table ----------------------------------------------------------------------
 
 
@@ -441,9 +426,8 @@ def reference_reports(with_brute: bool = False) -> list[tuple[str, StructureRepo
     out = []
     for spec, ref_idem, ref_ideal in REFERENCE_ROWS:
         g = parse_spec(spec)
-        report = analyze_structural(g, spec)
-        if with_brute and g.order <= 6:
-            report = cross_check(g, spec).merged
+        brute = with_brute and g.order <= 6
+        report = cross_check(g, spec).merged if brute else analyze_structural(g, spec)
         notes = list(report.notes)
         for what, got, ref in (
             ("minimal left ideal", report.min_left_ideal_type, ref_ideal),

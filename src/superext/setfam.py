@@ -66,10 +66,6 @@ class MlsSignature:
     def to_family(self) -> FamilyOfSets:
         return FamilyOfSets(self.group, frozenset(self.member_masks()))
 
-    def to_hex(self) -> str:
-        width = (1 << (self.group.order - 1)) + 3 >> 2
-        return format(self.bits, f"0{max(width, 1)}x")
-
 
 def shift(g: FiniteGroup, x: int, mask: int) -> int:
     """{x*a : a in mask}."""
@@ -135,20 +131,20 @@ class MlsSequence(Sequence):
     """Read-only systems over one group, kept as signature bits; each
     MlsSignature is built only when it is read."""
 
-    __slots__ = ("group", "_bits")
+    __slots__ = ("group", "bits")
 
     def __init__(self, group: FiniteGroup, bits: list[int]):
         self.group = group
-        self._bits = bits
+        self.bits = bits
 
     def __len__(self) -> int:
-        return len(self._bits)
+        return len(self.bits)
 
     def __getitem__(self, i: int) -> MlsSignature:
-        return MlsSignature(self.group, self._bits[int_index(i)])
+        return MlsSignature(self.group, self.bits[int_index(i)])
 
     def __iter__(self):
-        return map(MlsSignature, repeat(self.group), self._bits)
+        return map(MlsSignature, repeat(self.group), self.bits)
 
 
 def enumerate_mls(g: FiniteGroup, order: str = "descending", budget: int | None = None) -> MlsSequence:
@@ -361,10 +357,11 @@ def phi_inverse(f, group: FiniteGroup) -> FamilyOfSets:
 # -- stream format -----------------------------------------------------------------
 
 
-def write_mls_stream(fh, g: FiniteGroup, sigs) -> None:
-    fh.write(f"n={g.order} pairs={1 << (g.order - 1)}\n")
-    for s in sigs:
-        fh.write(s.to_hex() + "\n")
+def write_mls_stream(fh, g: FiniteGroup, sigs: MlsSequence) -> None:
+    """One zero-padded hex line per system, one hex digit per four pairs."""
+    pairs = 1 << (g.order - 1)
+    fh.write(f"n={g.order} pairs={pairs}\n")
+    fh.writelines(map(f"{{:0{pairs + 3 >> 2}x}}\n".format, sigs.bits))
 
 
 def read_mls_stream(fh) -> tuple[int, list[int]]:

@@ -67,6 +67,21 @@ def fix_operators(g: FiniteGroup, a: int) -> tuple[int, int, int]:
     return fix, fixm, fix | fixm
 
 
+def fix_minus_table(g: FiniteGroup) -> tuple[int, ...]:
+    """Fix-(a) for every mask a, built once per group: bit x of entry a is
+    set iff shift row x sends a to its complement."""
+    def build():
+        full = g.full_mask()
+        table = [0] * (full + 1)
+        for x in range(1, g.order):  # the identity fixes every mask
+            for a, xa in enumerate(g.shift_row(x)):
+                if a ^ xa == full:
+                    table[a] |= 1 << x
+        return tuple(table)
+
+    return g._cache("fix_minus", build)
+
+
 def is_twin(g: FiniteGroup, a: int) -> bool:
     return fix_operators(g, a)[1] != 0
 
@@ -257,7 +272,7 @@ def twin_sets_for(k: TwoCogroup) -> TkData:
     """All twin sets with Fix- exactly K, plus their orbit decomposition.
 
     Built from a transversal S of the K+- cosets as KK*E union K*(S\\E),
-    then verified against the literal Fix- scan.
+    then verified against the group's Fix- table.
     """
     if not k.maximal:
         raise ValueError("twin-set families are only computed for maximal 2-cogroups")
@@ -273,9 +288,9 @@ def twin_sets_for(k: TwoCogroup) -> TkData:
             for z in movers:
                 mask |= 1 << g.table[z][s]
         built.add(mask)
-    scan = {a for a in range(g.full_mask() + 1) if fix_operators(g, a)[1] == k.members}
+    scan = {a for a, fm in enumerate(fix_minus_table(g)) if fm == k.members}
     if built != scan:
-        raise AssertionError("transversal construction disagrees with the direct scan")
+        raise AssertionError("transversal construction disagrees with the Fix- table")
     twins = tuple(sorted(built))
     if len(twins) != 1 << k.kpm_index():
         raise InvariantError(f"|T_K| = {len(twins)}, expected 2^{k.kpm_index()}")
@@ -309,12 +324,8 @@ def realized_cogroups(g: FiniteGroup) -> dict[int, bool]:
     Diagnostic only; maximal 2-cogroups are always realized, smaller ones
     need not be.
     """
-    status = {k: False for k, _, _ in cogroup_masks(g)}
-    for a in range(g.full_mask() + 1):
-        fm = fix_operators(g, a)[1]
-        if fm in status:
-            status[fm] = True
-    return status
+    realized = set(fix_minus_table(g))
+    return {k: k in realized for k, _, _ in cogroup_masks(g)}
 
 
 # -- the twinic-triviality check -------------------------------------------------------

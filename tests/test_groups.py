@@ -26,6 +26,7 @@ from superext.groups import (
 )
 from superext.cli import parse_spec
 from superext.engine import catalog_specs
+from superext.twin import fix_operators
 
 
 def order_census(g):
@@ -404,6 +405,33 @@ def test_validation_error_kinds():
     with pytest.raises(GroupValidationError) as exc:
         FiniteGroup([[1, 0], [0, 1]])
     assert exc.value.kind == "identity"
+
+
+@pytest.mark.parametrize(
+    "table, names, kind",
+    [
+        ([], None, "shape"),  # empty table
+        ([[0, 1], [1]], None, "shape"),  # ragged row
+        ([[0, 1], [1, 2]], None, "shape"),  # entry out of range
+        ([[0, 1], [1, 0]], ["e"], "shape"),  # names length
+        ([[0, 1], [0, 1]], None, "latin_square"),  # rows permute, column 0 does not
+    ],
+)
+def test_finite_group_checks_its_own_table(table, names, kind):
+    with pytest.raises(GroupValidationError) as exc:
+        FiniteGroup(table, names=names)
+    assert exc.value.kind == kind
+
+
+def test_shift_mask_above_the_shift_table_order():
+    g = make_cyclic(32)
+    evens = sum(1 << i for i in range(0, 32, 2))
+    odds = evens << 1
+    assert g.shift_mask(1, evens) == odds and g.shift_mask(2, evens) == evens
+    assert g.shift_mask(3, 0b101) == 0b101000
+    assert fix_operators(g, evens) == (evens, odds, g.full_mask())
+    with pytest.raises(ValueError):
+        g.shift_row(1)
 
 
 def test_parse_cache_returns_the_same_group():

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from superext.engine import build_projection_idempotent, catalog_specs
+from superext.engine import build_projection_idempotent, catalog_specs, min_ideal_membership
 from superext.groups import (
     FiniteGroup,
     direct_product,
@@ -19,6 +19,7 @@ from superext.groups import (
     make_dihedral,
     make_generalized_quaternion,
     parse_spec,
+    spec_order,
 )
 
 
@@ -83,3 +84,27 @@ PROJECTION_BITS = {
 def test_projection_idempotent_bits_pinned():
     got = {spec: build_projection_idempotent(parse_spec(spec)).bits for spec in catalog_specs(6)}
     assert got == PROJECTION_BITS
+
+
+# sha256 of json.dumps({spec: format(bits, "x")}, sort_keys=True) over the
+# 13 catalog groups of orders 7-12, taken from the construction that
+# scanned Fix- per call, with only its order-6 cap lifted.  D8 and A4 carry
+# selector twin sets to conjugate cogroups, which no group of order <= 7 needs.
+PROJECTION_7_TO_12_DIGEST = "5b7b5a0e80ae0ecc1f158ca0d316fcc4c43a5a100af9fe2e6f7e6f42cb81ba92"
+
+
+def test_projection_idempotent_orders_7_to_12_pinned():
+    specs = [s for s in catalog_specs(12) if spec_order(s) >= 7]
+    assert len(specs) == 13 and {"D8", "A4"} <= set(specs)
+    got = {}
+    for spec in specs:
+        g = parse_spec(spec)
+        sig = build_projection_idempotent(g)
+        assert min_ideal_membership(g, sig), spec
+        got[spec] = format(sig.bits, "x")
+    assert hashlib.sha256(json.dumps(got, sort_keys=True).encode()).hexdigest() == PROJECTION_7_TO_12_DIGEST
+
+
+def test_projection_idempotent_refuses_order_above_the_pipeline_cap():
+    with pytest.raises(ValueError, match="capped at order 16"):
+        build_projection_idempotent(make_cyclic(32))

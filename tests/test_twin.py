@@ -15,6 +15,7 @@ from superext.groups import (
     make_generalized_quaternion,
     mask_elements,
 )
+from superext import twin
 from superext.twin import (
     ClassificationError,
     canonical_selector,
@@ -22,6 +23,7 @@ from superext.twin import (
     classify_unique_involution_2group,
     cogroup_orbits,
     enumerate_2cogroups,
+    fix_minus_table,
     fix_operators,
     is_pretwin,
     is_trivially_twinic,
@@ -35,6 +37,7 @@ from superext.twin import (
 
 CATALOG_8 = [s for s in catalog_specs(8)]
 CATALOG_16 = [s for s in catalog_specs(16)]
+CATALOG_12 = [s for s in catalog_specs(12)]
 
 
 # -- Fix operators -----------------------------------------------------------------------
@@ -353,6 +356,32 @@ def test_klein_singletons_unrealized():
             assert not realized
         else:
             assert realized
+
+
+def test_realized_cogroups_match_the_per_mask_scan():
+    for spec in CATALOG_12:
+        g = parse_spec(spec)
+        realized = {fix_operators(g, a)[1] for a in range(g.full_mask() + 1)}
+        assert realized_cogroups(g) == {k.members: k.members in realized for k in enumerate_2cogroups(g)}, spec
+
+
+# -- the Fix- table ------------------------------------------------------------------------------
+
+
+def test_fix_minus_table_matches_fix_operators():
+    for spec in CATALOG_12:
+        g = parse_spec(spec)
+        assert fix_minus_table(g) == tuple(fix_operators(g, a)[1] for a in range(g.full_mask() + 1)), spec
+
+
+def test_twin_sets_for_rejects_a_table_that_disagrees(monkeypatch):
+    g = make_generalized_quaternion(8)
+    k = maximal_2cogroups(g)[0]
+    table = list(fix_minus_table(g))
+    table[min(twin_sets_for(k).twin_masks)] = 0  # drop one twin set from T_K
+    monkeypatch.setattr(twin, "fix_minus_table", lambda _: tuple(table))
+    with pytest.raises(AssertionError, match="Fix- table"):
+        twin_sets_for(k)
 
 
 # -- twinic check -------------------------------------------------------------------------------
