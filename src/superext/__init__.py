@@ -1,81 +1,9 @@
 """Superextension structure of finite groups.
 
-The public surface: group constructors and subgroup machinery
-(``superext.groups``), maximal linked systems and their product
-(``superext.setfam``), twin sets and 2-cogroups (``superext.twin``),
-finite-semigroup analysis (``superext.semigroups``), the end-to-end
-engine (``superext.engine``), and the CLI (``superext.cli``).
+Import from the submodules; the package root re-exports nothing:
+``groups`` (group constructors, subgroups, Cayley documents, the spec
+grammar), ``setfam`` (maximal linked systems, their product, Phi),
+``twin`` (twin sets, 2-cogroups), ``semigroups`` (finite-semigroup
+analysis), ``engine`` (the structural and brute routes, the
+cross-check) and ``cli`` (the command-line front end).
 """
-
-from .groups import (
-    FgAbelianPresentation,
-    FiniteGroup,
-    GroupValidationError,
-    INFINITY,
-    Subgroup,
-    all_subgroups,
-    direct_product,
-    fg_abelian_q,
-    from_cayley_document,
-    from_cayley_file,
-    group_isomorphic,
-    hom_count_to_cyclic2,
-    make_alternating4,
-    make_cyclic,
-    make_dihedral,
-    make_generalized_quaternion,
-    odd_subgroup,
-    quotient,
-    to_cayley_document,
-)
-from .setfam import (
-    BudgetExceeded,
-    FamilyOfSets,
-    MlsSignature,
-    circ,
-    enumerate_mls,
-    is_linked,
-    is_maximal_linked,
-    phi,
-    phi_inverse,
-    principal_ultrafilter,
-    shift,
-)
-from .twin import (
-    TwoCogroup,
-    canonical_selector,
-    characteristic_group,
-    cogroup_orbits,
-    enumerate_2cogroups,
-    fix_operators,
-    is_pretwin,
-    is_trivially_twinic,
-    is_twin,
-    maximal_2cogroups,
-    q_counts,
-    twin_sets_for,
-)
-from .semigroups import (
-    FiniteSemigroup,
-    end_tk,
-    idempotents,
-    maximal_subgroup,
-    minimal_ideal,
-    minimal_left_ideal,
-    minimal_left_ideals,
-    rees_decompose,
-    semigroup_isomorphic,
-    wreath_product,
-)
-from .engine import (
-    CrossCheck,
-    StructureReport,
-    analyze_brute,
-    analyze_structural,
-    build_projection_idempotent,
-    cross_check,
-    min_ideal_membership,
-    reference_reports,
-)
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -22,7 +22,7 @@ from .groups import (
     subtable,
 )
 from .setfam import (
-    MAX_ENUM_ORDER, MlsSignature, circ, enumerate_mls, indexed_circ, phi_table
+    MAX_ENUM_ORDER, BudgetExceeded, MlsSignature, circ, enumerate_mls, indexed_circ, phi_table
 )
 from .twin import (
     Tag,
@@ -201,7 +201,7 @@ def lambda_semigroup(g: FiniteGroup, budget: int | None = None) -> FiniteSemigro
         # lambda(C7) alone has 1,422,564 elements, each with a Phi table
         raise ValueError(f"the superextension semigroup is built up to order {MAX_ENUM_ORDER}")
     sigs = enumerate_mls(g, budget=budget)
-    return FiniteSemigroup(len(sigs), indexed_circ(sigs), labels=sigs, materialize=False)
+    return FiniteSemigroup(len(sigs), indexed_circ(sigs), labels=sigs)
 
 
 def decompose_cq_type(h: FiniteGroup) -> dict[Tag, int]:
@@ -213,12 +213,17 @@ def decompose_cq_type(h: FiniteGroup) -> dict[Tag, int]:
 
 
 def _brute_parts(g: FiniteGroup, budget: int | None = None):
+    """lambda(g), its minimal left ideal and Rees decomposition, built once
+    per group whatever the budget; a budget below |lambda(g)| still raises."""
     def build():
         sem = lambda_semigroup(g, budget=budget)
         ideal = minimal_left_ideal(sem)
         return sem, ideal, rees_decompose(sem, ideal)
 
-    return g._cache(("brute_parts", budget), build)
+    parts = g._cache("brute_parts", build)
+    if budget is not None and parts[0].size > budget:
+        raise BudgetExceeded(budget)
+    return parts
 
 
 def analyze_brute(g: FiniteGroup, name: str = "?", budget: int | None = None) -> StructureReport:
@@ -249,7 +254,7 @@ def build_type_semigroup(m: int, q: dict[Tag, int]) -> FiniteSemigroup:
         (za, ha), (_, hb) = elements[i], elements[j]
         return index[(za, h.table[ha][hb])]
 
-    return FiniteSemigroup(size, mult, labels=elements, materialize=size <= 512)
+    return FiniteSemigroup(size, mult, labels=elements)
 
 
 def sub_semigroup(sem: FiniteSemigroup, elems) -> FiniteSemigroup:

@@ -18,8 +18,6 @@ from math import gcd
 MAX_PIPELINE_ORDER = 16
 MAX_GROUP_ORDER = 64
 
-_SHIFT_TABLE_MAX_ORDER = 16
-
 
 class GroupValidationError(ValueError):
     """A Cayley table failed a group axiom.
@@ -49,7 +47,9 @@ class FiniteGroup:
         self.identity = 0
         self.renumbering = None  # set by the file loader when it permutes indices
         self._validate()
-        self.inv = tuple(self._find_inverse(x) for x in range(self.order))
+        # x*y = 0 for the one y in row x (a permutation), and then
+        # (y*x)*y = y*(x*y) = 0*y forces y*x = 0 (column y is a permutation)
+        self.inv = tuple(row.index(0) for row in self.table)
         self._shift_rows: dict[int, list[int]] = {}
         self._caches: dict[str, object] = {}
 
@@ -57,14 +57,7 @@ class FiniteGroup:
 
     def _validate(self) -> None:
         n = self.order
-        if n == 0:
-            raise GroupValidationError("shape", "empty table")
-        for i, row in enumerate(self.table):
-            if len(row) != n:
-                raise GroupValidationError("shape", f"row {i} has length {len(row)}, expected {n}")
-            for j, v in enumerate(row):
-                if not 0 <= v < n:
-                    raise GroupValidationError("shape", f"entry ({i},{j}) = {v} out of range")
+        check_shape(self.table, n)
         if self.names is not None and len(self.names) != n:
             raise GroupValidationError("shape", "names length does not match order")
         for i in range(n):
@@ -89,14 +82,6 @@ class FiniteGroup:
                             f"({i}*{j})*{k} != {i}*({j}*{k})",
                             witness=(i, j, k),
                         )
-        # inverses exist: x*y = 0 for some y (row x is a permutation), and then
-        # (y*x)*y = y*(x*y) = 0*y forces y*x = 0 (column y is a permutation)
-
-    def _find_inverse(self, x: int):
-        for y in range(self.order):
-            if self.table[x][y] == 0 and self.table[y][x] == 0:
-                return y
-        return None
 
     # -- basic arithmetic ---------------------------------------------------
 
@@ -132,14 +117,7 @@ class FiniteGroup:
 
     @property
     def is_abelian(self) -> bool:
-        return self._cache(
-            "abelian",
-            lambda: all(
-                self.table[a][b] == self.table[b][a]
-                for a in range(self.order)
-                for b in range(a + 1, self.order)
-            ),
-        )
+        return self._cache("abelian", lambda: self.center_mask() == self.full_mask())
 
     def order_histogram(self) -> dict[int, int]:
         hist: dict[int, int] = {}
@@ -173,7 +151,7 @@ class FiniteGroup:
         """Table of mask -> x*mask, built lazily (orders <= 16 only)."""
         row = self._shift_rows.get(x)
         if row is None:
-            if self.order > _SHIFT_TABLE_MAX_ORDER:
+            if self.order > MAX_PIPELINE_ORDER:
                 raise ValueError("shift tables only built for order <= 16")
             perm = self.table[x]
             row = [0] * (1 << self.order)
@@ -185,7 +163,7 @@ class FiniteGroup:
 
     def shift_mask(self, x: int, mask: int) -> int:
         """{x*a : a in mask} as a mask."""
-        if self.order <= _SHIFT_TABLE_MAX_ORDER:
+        if self.order <= MAX_PIPELINE_ORDER:
             return self.shift_row(x)[mask]
         out = 0
         row = self.table[x]
@@ -197,6 +175,18 @@ class FiniteGroup:
 
     def __repr__(self):
         return f"FiniteGroup(order={self.order})"
+
+
+def check_shape(table, n: int) -> None:
+    """n >= 1 rows of n int entries in 0..n-1, or GroupValidationError("shape")."""
+    if n < 1 or len(table) != n:
+        raise GroupValidationError("shape", f"table has {len(table)} rows, expected {n} >= 1")
+    for i, row in enumerate(table):
+        if len(row) != n:
+            raise GroupValidationError("shape", f"row {i} has length {len(row)}, expected {n}")
+        for j, v in enumerate(row):
+            if not isinstance(v, int) or not 0 <= v < n:
+                raise GroupValidationError("shape", f"entry ({i},{j}) = {v!r} out of range")
 
 
 # -- mask helpers --------------------------------------------------------------
@@ -311,13 +301,7 @@ def from_cayley_document(document: dict) -> FiniteGroup:
         raise GroupValidationError("shape", "order must be a positive integer")
     if n > MAX_GROUP_ORDER:
         raise GroupValidationError("shape", f"order {n} exceeds cap {MAX_GROUP_ORDER}")
-    if len(table) != n or any(len(row) != n for row in table):
-        raise GroupValidationError("shape", f"table must be {n}x{n}")
-    for i in range(n):
-        for j in range(n):
-            v = table[i][j]
-            if not isinstance(v, int) or not 0 <= v < n:
-                raise GroupValidationError("shape", f"entry ({i},{j}) = {v!r} out of range")
+    check_shape(table, n)
     # the first two-sided identity, if any; FiniteGroup rejects a table without one
     e = next((e for e in range(n) if all(table[e][j] == j and table[j][e] == j for j in range(n))), 0)
     # renumber: swap identity to index 0

@@ -19,30 +19,26 @@ from .groups import (
 )
 from .twin import TkData, TwoCogroup, twin_sets_for
 
-MATERIALIZE_MAX = 4096
+MATERIALIZE_MAX = 512
 _EXHAUSTIVE_ASSOC_MAX = 64
+_END_TK_MAX = 4096
+_WREATH_MAX = 10**6
 
 
 class FiniteSemigroup:
-    """Carrier 0..size-1 with a total product; table materialized when small."""
+    """Carrier 0..size-1 with a total product; table built iff size <= MATERIALIZE_MAX."""
 
-    def __init__(self, size: int, mult, labels=None, materialize: bool | None = None):
+    def __init__(self, size: int, mult, labels=None):
         self.size = size
         self.labels = labels
         self._mult = mult
         self.table = None
-        if materialize is None:
-            materialize = size <= _EXHAUSTIVE_ASSOC_MAX
-        if materialize:
-            if size > MATERIALIZE_MAX:
-                raise ValueError("refusing to materialize a table this large")
+        if size <= MATERIALIZE_MAX:
             self.table = [[mult(i, j) for j in range(size)] for i in range(size)]
 
     @classmethod
     def from_table(cls, table, labels=None):
-        s = cls(len(table), lambda i, j: table[i][j], labels=labels, materialize=False)
-        s.table = [list(row) for row in table]
-        return s
+        return cls(len(table), lambda i, j: table[i][j], labels=labels)
 
     def mul(self, i: int, j: int) -> int:
         if self.table is not None:
@@ -185,7 +181,7 @@ def rees_decompose(s: FiniteSemigroup, ideal: frozenset[int]) -> ReesDecompositi
 # -- endomorphism monoid of the twin-set act -------------------------------------------
 
 
-def end_tk(k: TwoCogroup, max_size: int = MATERIALIZE_MAX) -> tuple[FiniteSemigroup, TkData]:
+def end_tk(k: TwoCogroup) -> tuple[FiniteSemigroup, TkData]:
     """All equivariant self-maps of T_K, one per assignment of orbit images."""
     tk = twin_sets_for(k)
     g = k.group
@@ -194,8 +190,8 @@ def end_tk(k: TwoCogroup, max_size: int = MATERIALIZE_MAX) -> tuple[FiniteSemigr
     r = tk.orbit_count
     h_order = len(twins) // r
     total = (h_order**r) * (r**r)
-    if total > max_size:
-        raise ValueError(f"|End(T_K)| = {total} exceeds budget {max_size}")
+    if total > _END_TK_MAX:
+        raise ValueError(f"|End(T_K)| = {total} exceeds budget {_END_TK_MAX}")
 
     stab_elems = list(mask_elements(k.stab))
     reps = [orb[0] for orb in tk.orbits]
@@ -216,8 +212,7 @@ def end_tk(k: TwoCogroup, max_size: int = MATERIALIZE_MAX) -> tuple[FiniteSemigr
         fi, fj = maps[i], maps[j]
         return index[tuple(fi[v] for v in fj)]
 
-    sem = FiniteSemigroup(len(maps), mult, labels=maps, materialize=len(maps) <= 512)
-    return sem, tk
+    return FiniteSemigroup(len(maps), mult, labels=maps), tk
 
 
 def end_tk_min_ideal_expected(sem: FiniteSemigroup, tk: TkData) -> frozenset[int]:
@@ -244,11 +239,11 @@ def expected_unit_group_size(tk: TkData, image_orbits: int) -> int:
 # -- wreath products --------------------------------------------------------------------
 
 
-def wreath_product(h: FiniteGroup, a_size: int, max_size: int = 10**6) -> FiniteSemigroup:
+def wreath_product(h: FiniteGroup, a_size: int) -> FiniteSemigroup:
     """H wr A^A: pairs (h-vector over A, self-map of A) with twisted product."""
     total = (h.order**a_size) * (a_size**a_size)
-    if total > max_size:
-        raise ValueError(f"wreath product size {total} exceeds budget {max_size}")
+    if total > _WREATH_MAX:
+        raise ValueError(f"wreath product size {total} exceeds budget {_WREATH_MAX}")
     vectors = list(iter_product(range(h.order), repeat=a_size))
     selfmaps = list(iter_product(range(a_size), repeat=a_size))
     elements = [(v, f) for v in vectors for f in selfmaps]
@@ -260,7 +255,7 @@ def wreath_product(h: FiniteGroup, a_size: int, max_size: int = 10**6) -> Finite
         vec = tuple(h.table[hv[f2[a]]][hv2[a]] for a in range(a_size))
         return index[(vec, comb)]
 
-    return FiniteSemigroup(len(elements), mult, labels=elements, materialize=total <= 512)
+    return FiniteSemigroup(len(elements), mult, labels=elements)
 
 
 # -- isomorphism testing -----------------------------------------------------------------

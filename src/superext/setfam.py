@@ -9,6 +9,7 @@ membership is O(1).  Explicit families are only materialized for general
 
 from __future__ import annotations
 
+import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -285,15 +286,19 @@ def _membership(sig: MlsSignature) -> str:
 def pair_row(sig: MlsSignature) -> tuple[int, ...]:
     """Phi(sig)(p) for every pair representative p < 2^(n-1)."""
     g = sig.group
-    n, half, full = g.order, 1 << (g.order - 1), g.full_mask()
-    # one gather reads every Phi(sig)(p) off the membership string as n-bit
-    # fields of one int: p = 0 in the top field, bit n-1 first in each
-    fields = g._cache(
-        "phi_fields",
-        lambda: _gather([g.shift_row(g.inv[x])[p] for p in range(half) for x in reversed(range(n))]),
-    )
-    v = int("".join(fields(_membership(sig))), 2)
-    return tuple((v >> k) & full for k in range((half - 1) * n, -1, -n))
+    n, half = g.order, 1 << (g.order - 1)
+    width = 8 if n <= 8 else 16
+    # one gather reads every Phi(sig)(p) off the membership string as
+    # byte-aligned fields of one int: p = 0 first, bit n-1 first in each, the
+    # top width - n bits read at index 2^n, the '0' appended to the string
+    def index():
+        pad = [1 << n] * (width - n)
+        rows = [g.shift_row(g.inv[x])[:half] for x in reversed(range(n))]
+        return _gather([i for col in zip(*rows) for i in pad + list(col)])
+
+    fields = g._cache("phi_fields", index)
+    raw = int("".join(fields(_membership(sig) + "0")), 2).to_bytes(half * width // 8, "big")
+    return tuple(raw) if width == 8 else struct.unpack(f">{half}H", raw)
 
 
 def phi_table(sig: MlsSignature) -> tuple[int, ...]:

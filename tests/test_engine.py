@@ -345,3 +345,24 @@ def test_build_type_semigroup_shape():
     assert len(zeros) == 0  # products keep the group coordinate moving
     idems = [i for i in range(sem.size) if sem.mul(i, i) == i]
     assert len(idems) == 4
+
+
+def test_brute_parts_built_once_per_group():
+    from superext.engine import _brute_parts
+    from superext.setfam import BudgetExceeded
+
+    g = make_cyclic(6)
+    assert _brute_parts(g, 5000)[0] is _brute_parts(g)[0]
+    with pytest.raises(BudgetExceeded) as exc:
+        _brute_parts(g, 5)
+    assert exc.value.count_so_far == 5
+
+
+def test_lambda_semigroup_is_fresh_after_cross_check():
+    # the benchmark's brute item checks that the two builds are distinct objects
+    g = make_cyclic(4)
+    check = cross_check(g)
+    from superext.engine import _brute_parts
+
+    assert check.verdict == "agree"
+    assert lambda_semigroup(g) is not _brute_parts(g)[0]

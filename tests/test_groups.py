@@ -444,3 +444,24 @@ def test_parse_cache_evicts_the_least_recently_used():
     assert parse_spec(specs[1]) is built[1]  # a hit makes specs[1] the most recent
     assert parse_spec(specs[0]) is not built[0]  # the oldest was evicted
     assert parse_spec(specs[1]) is built[1]  # rebuilding specs[0] evicted specs[2], not specs[1]
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        [[0]],  # not a dict
+        {"order": 2},  # no table
+        {"order": "3", "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]},
+        {"order": 0, "table": []},
+        {"order": 65, "table": [[(i + j) % 65 for j in range(65)] for i in range(65)]},
+        {"order": 2, "table": [[0, 1], [1, 0], [0, 1]]},  # 3 rows for order 2
+        {"order": 2, "table": [[0, 1], [1]]},  # ragged row
+        {"order": 2, "table": [[0, 1], [1, 1.5]]},
+        {"order": 2, "table": [[0, 1], ["1", 0]]},
+        {"order": 2, "table": [[0, 1], [1, 2]]},
+    ],
+)
+def test_document_shape_rejections(document):
+    with pytest.raises(GroupValidationError) as exc:
+        from_cayley_document(document)
+    assert exc.value.kind == "shape"

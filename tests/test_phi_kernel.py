@@ -6,9 +6,19 @@ import random
 import pytest
 
 from superext.cli import parse_spec
-from superext.engine import lambda_semigroup
+from superext.engine import build_projection_idempotent, lambda_semigroup
 from superext.groups import make_cyclic
-from superext.setfam import FamilyOfSets, circ, enumerate_mls, family_to_signature, phi_map, phi_table
+from superext.setfam import (
+    FamilyOfSets,
+    circ,
+    enumerate_mls,
+    family_to_signature,
+    pair_row,
+    phi,
+    phi_map,
+    phi_table,
+    principal_ultrafilter,
+)
 
 ORDERS_1_TO_6 = ["C1", "C2", "C3", "C4", "C2xC2", "C5", "C6", "D6"]
 
@@ -66,3 +76,25 @@ def test_lambda_mul_matches_circ_on_seeded_pairs(spec):
     sem = lambda_semigroup(parse_spec(spec))
     rng = random.Random(spec)
     _assert_mul_matches_circ(sem, [(rng.randrange(sem.size), rng.randrange(sem.size)) for _ in range(2000)])
+
+
+# -- pair rows with 16-bit fields (orders 9 to 16) --------------------------------------------
+
+
+@pytest.mark.parametrize("spec", ["C9", "D10", "C12"])
+def test_pair_row_matches_phi_on_principal_ultrafilters(spec):
+    g = parse_spec(spec)
+    half = 1 << (g.order - 1)
+    for x in range(g.order):
+        sig = principal_ultrafilter(g, x)
+        assert pair_row(sig) == tuple(phi(sig, p) for p in range(half)), x
+
+
+def test_pair_row_matches_phi_on_d16_projection():
+    g = parse_spec("D16")
+    sig = build_projection_idempotent(g)
+    row = pair_row(sig)
+    assert len(row) == 1 << 15
+    rng = random.Random(16)
+    for p in (rng.randrange(1 << 15) for _ in range(2000)):
+        assert row[p] == phi(sig, p), p

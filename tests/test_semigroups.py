@@ -398,3 +398,8 @@ def test_seeded_ideal_rejects_a_non_associative_table():
     sem = FiniteSemigroup.from_table([[0, 1], [0, 0]])
     with pytest.raises(InvariantError):
         minimal_left_ideal(sem)
+
+
+def test_table_is_built_up_to_materialize_max():
+    assert FiniteSemigroup(512, lambda i, j: i).table is not None
+    assert FiniteSemigroup(513, lambda i, j: i).table is None
