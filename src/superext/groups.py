@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import gcd
 
 MAX_PIPELINE_ORDER = 16
@@ -119,12 +119,6 @@ class FiniteGroup:
     def is_abelian(self) -> bool:
         return self._cache("abelian", lambda: self.center_mask() == self.full_mask())
 
-    def order_histogram(self) -> dict[int, int]:
-        hist: dict[int, int] = {}
-        for o in self.element_orders:
-            hist[o] = hist.get(o, 0) + 1
-        return hist
-
     def center_mask(self) -> int:
         m = 0
         for x in range(self.order):
@@ -179,11 +173,11 @@ class FiniteGroup:
 
 def check_shape(table, n: int) -> None:
     """n >= 1 rows of n int entries in 0..n-1, or GroupValidationError("shape")."""
-    if n < 1 or len(table) != n:
-        raise GroupValidationError("shape", f"table has {len(table)} rows, expected {n} >= 1")
+    if not isinstance(table, (list, tuple)) or n < 1 or len(table) != n:
+        raise GroupValidationError("shape", f"table is not a list of {n} >= 1 rows")
     for i, row in enumerate(table):
-        if len(row) != n:
-            raise GroupValidationError("shape", f"row {i} has length {len(row)}, expected {n}")
+        if not isinstance(row, (list, tuple)) or len(row) != n:
+            raise GroupValidationError("shape", f"row {i} is not a list of {n} entries")
         for j, v in enumerate(row):
             if not isinstance(v, int) or not 0 <= v < n:
                 raise GroupValidationError("shape", f"entry ({i},{j}) = {v!r} out of range")
@@ -274,13 +268,18 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
 
 
 def make_cq_product(q) -> FiniteGroup:
-    """C_{2^k} and Q_{2^k} factors, q[(family, k)] of each, multiplied in sorted tag order."""
-    group = make_cyclic(1)
-    for (fam, k), count in sorted(q.items()):
-        for _ in range(count):
-            factor = make_cyclic(2**k) if fam == "C" else make_generalized_quaternion(2**k)
-            group = direct_product(group, factor)
-    return group
+    """C_{2^k} and Q_{2^k} factors, q[(family, k)] of each, multiplied in sorted tag order.
+
+    Tuples of factor elements in lexicographic order, as chained direct
+    products list them.  No order cap: callers size q by a group they hold.
+    """
+    factors = [
+        make_cyclic(2**k) if fam == "C" else make_generalized_quaternion(2**k)
+        for (fam, k), count in sorted(q.items())
+        for _ in range(count)
+    ]
+    elems = product(*(range(f.order) for f in factors))
+    return FiniteGroup(subtable(lambda x, y: tuple(f.table[a][b] for f, a, b in zip(factors, x, y)), elems))
 
 
 # -- Cayley table documents -------------------------------------------------------
@@ -302,6 +301,9 @@ def from_cayley_document(document: dict) -> FiniteGroup:
     if n > MAX_GROUP_ORDER:
         raise GroupValidationError("shape", f"order {n} exceeds cap {MAX_GROUP_ORDER}")
     check_shape(table, n)
+    names = document.get("names")
+    if names is not None and (not isinstance(names, list) or len(names) != n):
+        raise GroupValidationError("shape", f"names must be a list of {n} names")
     # the first two-sided identity, if any; FiniteGroup rejects a table without one
     e = next((e for e in range(n) if all(table[e][j] == j and table[j][e] == j for j in range(n))), 0)
     # renumber: swap identity to index 0
@@ -312,8 +314,7 @@ def from_cayley_document(document: dict) -> FiniteGroup:
     new_table = [
         [pos[table[old_order[i]][old_order[j]]] for j in range(n)] for i in range(n)
     ]
-    names = document.get("names")
-    new_names = [names[old] for old in old_order] if names else None
+    new_names = [names[old] for old in old_order] if names is not None else None
     try:
         group = FiniteGroup(new_table, names=new_names)
     except GroupValidationError as exc:
@@ -357,21 +358,24 @@ class Subgroup:
         return mask_elements(self.mask)
 
 
-def subgroup_closure(g: FiniteGroup, mask: int) -> int:
-    """Smallest subgroup containing the masked elements (mask of the closure)."""
-    mask |= 1
-    elems = list(mask_elements(mask))
+def closure(table, mask: int) -> int:
+    """Smallest mask containing mask and closed under the product of table."""
     seen = mask
-    frontier = list(elems)
+    frontier = list(mask_elements(mask))
     while frontier:
         x = frontier.pop()
-        row = g.table[x]
+        row = table[x]
         for y in list(mask_elements(seen)):
-            for z in (row[y], g.table[y][x]):
+            for z in (row[y], table[y][x]):
                 if not (seen >> z) & 1:
                     seen |= 1 << z
                     frontier.append(z)
     return seen
+
+
+def subgroup_closure(g: FiniteGroup, mask: int) -> int:
+    """Smallest subgroup containing the masked elements (mask of the closure)."""
+    return closure(g.table, mask | 1)
 
 
 def is_subgroup_mask(g: FiniteGroup, mask: int) -> bool:
@@ -446,37 +450,36 @@ class GroupHom:
         return len(set(self.images)) == self.target.order
 
 
-def quotient(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, GroupHom]:
-    """Group on the cosets of a normal subgroup, plus the projection."""
-    if not n.normal:
-        raise ValueError("quotient requires a normal subgroup")
+def quotient(g: FiniteGroup, mask: int) -> tuple[FiniteGroup, GroupHom]:
+    """Group on the cosets of the normal subgroup mask, plus the projection."""
     coset_of = [-1] * g.order
     reps = []
     for x in range(g.order):
         if coset_of[x] == -1:
-            cid = len(reps)
+            for h in mask_elements(mask):
+                coset_of[g.table[x][h]] = len(reps)
             reps.append(x)
-            for h in mask_elements(n.mask):
-                coset_of[g.table[x][h]] = cid
-    k = len(reps)
-    table = [[coset_of[g.table[reps[i]][reps[j]]] for j in range(k)] for i in range(k)]
-    q = FiniteGroup(table)
+    # a subgroup N is normal iff N*r = r*N for every representative r (then x^-1 N x = N on r*N)
+    if not is_subgroup_mask(g, mask) or any(
+        coset_of[g.table[h][r]] != coset_of[r] for r in reps for h in mask_elements(mask)
+    ):
+        raise ValueError("quotient requires a normal subgroup")
+    q = FiniteGroup(subtable(lambda a, b: reps[coset_of[g.table[a][b]]], reps))
     hom = GroupHom(source=g, target=q, images=tuple(coset_of))
-    if not hom.is_surjective() or hom.kernel_mask() != n.mask:
+    if not hom.is_surjective() or hom.kernel_mask() != mask:
         raise InvariantError("quotient projection has the wrong image or kernel")
     return q, hom
 
 
-def greedy_generators(g: FiniteGroup) -> list[int]:
-    """Small generating set, highest element order first."""
+def greedy_generators(table, order) -> list[int]:
+    """A generating set of table: each element, in the given order, that the
+    product closure of those taken before it misses."""
     gens: list[int] = []
-    closed = 1
-    for x in sorted(range(g.order), key=lambda v: (-g.element_orders[v], v)):
+    closed = 0
+    for x in order:
         if not (closed >> x) & 1:
             gens.append(x)
-            closed = subgroup_closure(g, closed | (1 << x))
-        if closed == g.full_mask():
-            break
+            closed = closure(table, closed | (1 << x))
     return gens
 
 
@@ -491,9 +494,8 @@ def invariant_factors(g: FiniteGroup) -> tuple[int, ...]:
     factors = []
     while g.order > 1:
         x = max(range(g.order), key=lambda v: g.element_orders[v])
-        mask = subgroup_closure(g, 1 << x)
         factors.append(g.element_orders[x])
-        g, _ = quotient(g, Subgroup(parent=g, mask=mask, normal=True, index=g.order // mask.bit_count()))
+        g, _ = quotient(g, subgroup_closure(g, 1 << x))
     return tuple(reversed(factors))
 
 
@@ -503,8 +505,7 @@ def hom_count_to_cyclic2(g: FiniteGroup, k: int) -> int:
         raise ValueError(f"order {g.order} exceeds cap {MAX_GROUP_ORDER}")
     if k < 0 or 2**k > 2**16:
         raise ValueError("exponent out of range")
-    derived = g.derived_subgroup_mask()
-    ab, _ = quotient(g, Subgroup(parent=g, mask=derived, normal=True, index=g.order // derived.bit_count()))
+    ab, _ = quotient(g, g.derived_subgroup_mask())
     return FgAbelianPresentation(0, invariant_factors(ab)).hom_count_to_cyclic2(k)
 
 
@@ -569,30 +570,29 @@ def odd_subgroup(g: FiniteGroup) -> Subgroup:
 # -- isomorphism testing ----------------------------------------------------------
 
 
-def _fingerprint(g: FiniteGroup):
-    return (
-        g.order,
-        g.is_abelian,
-        tuple(sorted(g.order_histogram().items())),
-        g.center_mask().bit_count(),
-        g.derived_subgroup_mask().bit_count(),
-    )
-
-
 class SearchBudgetExceeded(RuntimeError):
     """An isomorphism search used up its budget of map-extension steps."""
 
 
-def find_isomorphism(t1, t2, gens, candidates, budget: int | None = None):
+def find_isomorphism(t1, t2, gens, keys1, keys2, budget: int | None = None):
     """A bijection phi with phi[t1[a][b]] == t2[phi[a]][phi[b]], or None.
 
-    Backtracks over distinct images of the generators (candidates[i] lists
-    the allowed images of gens[i]).  At every depth it extends the assigned
-    images by right multiplication by the assigned generators and drops the
-    branch on a conflict or a repeated image; a full assignment is verified
-    on the whole table.  Raises SearchBudgetExceeded once the extension
-    steps exceed the budget.
+    keys1 and keys2 give each element of t1 and t2 an invariant that an
+    isomorphism must keep: the answer is None when their multisets differ,
+    and each generator may only map to an element with its own key.
+
+    Backtracks over distinct images of the generators.  At every depth it
+    extends the assigned images by right multiplication by the assigned
+    generators and drops the branch on a conflict or a repeated image; a
+    full assignment is verified on the whole table.  Raises
+    SearchBudgetExceeded once the extension steps exceed the budget.
     """
+    if sorted(keys1) != sorted(keys2):
+        return None
+    by_key: dict = {}
+    for x, key in enumerate(keys2):
+        by_key.setdefault(key, []).append(x)
+    candidates = [by_key.get(keys1[s], []) for s in gens]
     n = len(t1)
     images: list[int] = []
     ops = 0
@@ -649,17 +649,14 @@ def find_isomorphism(t1, t2, gens, candidates, budget: int | None = None):
 
 
 def group_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> bool:
-    """Invariant fingerprints (the order first), then a search over generator images."""
-    if _fingerprint(g1) != _fingerprint(g2):
-        return False
-    gens = greedy_generators(g1)
-    if not gens:
-        return True
-    by_order: dict[int, list[int]] = {}
-    for x in range(g2.order):
-        by_order.setdefault(g2.element_orders[x], []).append(x)
-    candidates = [by_order.get(g1.element_orders[s], []) for s in gens]
-    return find_isomorphism(g1.table, g2.table, gens, candidates) is not None
+    """A search over generator images, highest element order first, keyed by
+    (element order, in the centre, in the derived subgroup)."""
+    def keys(g):
+        z, d = g.center_mask(), g.derived_subgroup_mask()
+        return [(o, z >> x & 1, d >> x & 1) for x, o in enumerate(g.element_orders)]
+
+    gens = greedy_generators(g1.table, sorted(range(g1.order), key=lambda v: (-g1.element_orders[v], v)))
+    return find_isomorphism(g1.table, g2.table, gens, keys(g1), keys(g2)) is not None
 
 
 # -- finitely generated abelian presentations ----------------------------------------

@@ -14,6 +14,7 @@ from .groups import (
     InvariantError,
     SearchBudgetExceeded,
     find_isomorphism,
+    greedy_generators,
     mask_elements,
     subtable,
 )
@@ -283,50 +284,18 @@ def _element_invariants(s: FiniteSemigroup) -> list[tuple]:
     ]
 
 
-def _generators(s: FiniteSemigroup) -> list[int]:
-    gens: list[int] = []
-    closed: set[int] = set()
-    for x in range(s.size):
-        if x in closed:
-            continue
-        gens.append(x)
-        closed.add(x)
-        frontier = list(closed)
-        while frontier:
-            a = frontier.pop()
-            for b in list(closed):
-                for c in (s.mul(a, b), s.mul(b, a)):
-                    if c not in closed:
-                        closed.add(c)
-                        frontier.append(c)
-        if len(closed) == s.size:
-            break
-    return gens
-
-
 def semigroup_isomorphic(
     s1: FiniteSemigroup, s2: FiniteSemigroup, budget: int = 2_000_000
 ) -> bool | None:
     """True/False when decided; None when the search budget ran out.
 
-    Fingerprint pruning first, then find_isomorphism over generator images
-    with matching element invariants.
+    find_isomorphism over generator images keyed by element invariants.
     """
-    if s1.size != s2.size:
-        return False
-    inv1 = _element_invariants(s1)
-    inv2 = _element_invariants(s2)
-    if sorted(inv1) != sorted(inv2):
-        return False
-    n = s1.size
-    gens = _generators(s1)
-    by_inv: dict[tuple, list[int]] = {}
-    for x in range(n):
-        by_inv.setdefault(inv2[x], []).append(x)
-    candidates = [by_inv.get(inv1[x], []) for x in gens]
-    t1, t2 = (s.table if s.table is not None else subtable(s.mul, range(n)) for s in (s1, s2))
+    t1, t2 = (s.table if s.table is not None else subtable(s.mul, range(s.size)) for s in (s1, s2))
+    gens = greedy_generators(t1, range(s1.size))
+    keys1, keys2 = (_element_invariants(s) for s in (s1, s2))
     try:
-        return find_isomorphism(t1, t2, gens, candidates, budget) is not None
+        return find_isomorphism(t1, t2, gens, keys1, keys2, budget) is not None
     except SearchBudgetExceeded:
         return None
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from .groups import (
     FiniteGroup,
     InvariantError,
-    Subgroup,
     cogroup_masks,
     group_isomorphic,
     invariant_factors,
@@ -216,17 +215,7 @@ def characteristic_group(k: TwoCogroup) -> tuple[FiniteGroup, tuple[str, int]]:
     g = k.group
     stab_elems = sorted(mask_elements(k.stab))
     stab_group = FiniteGroup(subtable(g.mul, stab_elems))
-    pos = {e: i for i, e in enumerate(stab_elems)}
-    kk_inside = 0
-    for e in mask_elements(k.kk):
-        kk_inside |= 1 << pos[e]
-    sub = Subgroup(
-        parent=stab_group,
-        mask=kk_inside,
-        normal=True,
-        index=stab_group.order // kk_inside.bit_count(),
-    )
-    h, _ = quotient(stab_group, sub)
+    h, _ = quotient(stab_group, mask_from_elements(i for i, e in enumerate(stab_elems) if k.kk >> e & 1))
     return h, classify_unique_involution_2group(h)
 
 

@@ -215,6 +215,20 @@ def test_missing_file_is_input_error(capsys):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"order": 2, "table": 5},
+        {"order": 3, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]], "names": ["a"]},
+    ],
+)
+def test_malformed_document_is_input_error(tmp_path, capsys, document):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run_cli(capsys, "analyze", f"file:{path}")
+    assert code == EXIT_INPUT and out == "" and err.startswith("error: ")
+
+
 def test_disagreement_exit_code(capsys, monkeypatch):
     # force a verdict to pin the exit-code contract for disagreements
     from superext import cli, engine

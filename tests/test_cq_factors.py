@@ -7,7 +7,14 @@ import pytest
 
 from superext import twin
 from superext.engine import decompose_cq_type, type_string
-from superext.groups import FiniteGroup, make_cq_product, parse_spec
+from superext.groups import (
+    FiniteGroup,
+    direct_product,
+    make_cq_product,
+    make_cyclic,
+    make_generalized_quaternion,
+    parse_spec,
+)
 
 
 def cq_types(max_bits):
@@ -55,3 +62,15 @@ def test_non_cq_two_groups_are_rejected(spec):
 def test_abelian_order_128_beyond_the_product_cap():
     h = FiniteGroup([[i ^ j for j in range(128)] for i in range(128)])
     assert decompose_cq_type(h) == {("C", 1): 7}
+
+
+def test_non_abelian_order_128_beyond_the_product_cap():
+    # Q8 x Q8 (major) times C2 (minor): not the model's element order
+    t = parse_spec("Q8xQ8").table
+    h = FiniteGroup([[2 * t[i >> 1][j >> 1] + ((i ^ j) & 1) for j in range(128)] for i in range(128)])
+    assert decompose_cq_type(h) == {("Q", 3): 2, ("C", 1): 1}
+
+
+def test_cq_product_lists_factors_as_chained_direct_products():
+    model = make_cq_product({("C", 1): 1, ("Q", 3): 1})
+    assert model.table == direct_product(make_cyclic(2), make_generalized_quaternion(8)).table

@@ -217,7 +217,7 @@ def test_cross_check_klein():
 def test_odd_reduction_types_match():
     for spec in ("C6", "C10", "C12", "C2xC3", "D6"):
         g = parse_spec(spec)
-        q, _ = quotient(g, odd_subgroup(g))
+        q, _ = quotient(g, odd_subgroup(g).mask)
         a = analyze_structural(g, spec)
         b = analyze_structural(q, spec + "/odd")
         assert a.min_left_ideal_type == b.min_left_ideal_type, spec

@@ -220,7 +220,7 @@ def test_subgroups_complete_for_s3():
 def test_quotient_c4():
     g = make_cyclic(4)
     sub = next(s for s in all_subgroups(g) if s.size == 2)
-    q, hom = quotient(g, sub)
+    q, hom = quotient(g, sub.mask)
     assert group_isomorphic(q, make_cyclic(2))
     assert hom.is_surjective() and hom.kernel_mask() == sub.mask
 
@@ -228,13 +228,13 @@ def test_quotient_c4():
 def test_quotient_q8_center():
     g = make_generalized_quaternion(8)
     sub = next(s for s in all_subgroups(g) if s.mask == g.center_mask())
-    q, _ = quotient(g, sub)
+    q, _ = quotient(g, sub.mask)
     assert group_isomorphic(q, direct_product(make_cyclic(2), make_cyclic(2)))
 
 
 def test_quotient_by_whole_group():
     g = make_dihedral(6)
-    q, _ = quotient(g, all_subgroups(g)[-1])
+    q, _ = quotient(g, all_subgroups(g)[-1].mask)
     assert q.order == 1
 
 
@@ -242,7 +242,17 @@ def test_quotient_rejects_non_normal():
     g = make_dihedral(6)
     sub = next(s for s in all_subgroups(g) if s.size == 2 and not s.normal)
     with pytest.raises(ValueError):
-        quotient(g, sub)
+        quotient(g, sub.mask)
+
+
+def test_quotient_rejects_a_mask_that_is_not_a_normal_subgroup():
+    d6 = make_dihedral(6)
+    classes = 0b111001  # the identity and the three reflections: conjugation-invariant, not a subgroup
+    assert all(d6.conj_mask(x, classes) == classes for x in range(d6.order))
+    # {1, s} is a subgroup but not normal; {0, 1} is no subgroup of C4, yet its translates tile C4
+    for g, mask in ((d6, 0b001001), (d6, classes), (make_cyclic(4), 0b0011)):
+        with pytest.raises(ValueError, match="quotient requires a normal subgroup"):
+            quotient(g, mask)
 
 
 # -- hom counting -----------------------------------------------------------------------
@@ -317,7 +327,7 @@ def quotient_q_census(g, k):
     for s in all_subgroups(g):
         if not s.normal or s.index != 2**k:
             continue
-        q, _ = quotient(g, s)
+        q, _ = quotient(g, s.mask)
         if group_isomorphic(q, target):
             count += 1
     return count
@@ -341,6 +351,13 @@ def test_isomorphism_basics():
     assert not group_isomorphic(direct_product(make_cyclic(2), make_cyclic(4)), make_cyclic(8))
     assert not group_isomorphic(make_dihedral(8), make_generalized_quaternion(8))
     assert group_isomorphic(make_dihedral(6), parse_spec("D6"))
+
+
+def test_isomorphism_trivial_group():
+    trivial = FiniteGroup([[0]])
+    for other, same in ((make_cyclic(1), True), (make_cyclic(2), False)):
+        assert group_isomorphic(trivial, other) is same
+        assert group_isomorphic(other, trivial) is same
 
 
 # -- fg abelian presentations ---------------------------------------------------------------
@@ -459,6 +476,10 @@ def test_parse_cache_evicts_the_least_recently_used():
         {"order": 2, "table": [[0, 1], [1, 1.5]]},
         {"order": 2, "table": [[0, 1], ["1", 0]]},
         {"order": 2, "table": [[0, 1], [1, 2]]},
+        {"order": 2, "table": 5},  # table not a list
+        {"order": 1, "table": [5]},  # row not a list
+        {"order": 3, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]], "names": ["a"]},
+        {"order": 1, "table": [[0]], "names": "e"},  # names not a list
     ],
 )
 def test_document_shape_rejections(document):

@@ -7,7 +7,7 @@ import pytest
 
 from superext.cli import parse_spec
 from superext.engine import analyze_brute, analyze_structural, catalog_specs
-from superext.groups import from_cayley_document, to_cayley_document
+from superext.groups import from_cayley_document, group_isomorphic, to_cayley_document
 
 
 def relabelled(g, rng):
@@ -60,3 +60,12 @@ def test_brute_report_is_relabelling_invariant(spec):
     for _ in range(2):
         h, _ = relabelled(g, rng)
         assert dict(analyze_brute(h, spec).to_json(), group=None) == want
+
+
+def test_isomorphism_holds_exactly_within_a_spec():
+    groups = {spec: parse_spec(spec) for spec in catalog_specs()}
+    for a, g in groups.items():
+        for b, other in groups.items():
+            if g.order == other.order:
+                h, _ = relabelled(other, random.Random(a + b))
+                assert group_isomorphic(g, h) is (a == b), (a, b)

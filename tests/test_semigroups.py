@@ -339,6 +339,11 @@ def test_iso_left_zero_counts():
     assert semigroup_isomorphic(left_zero_semigroup(3), group_as_semigroup(make_cyclic(3))) is False
 
 
+def test_iso_size_mismatch():
+    assert semigroup_isomorphic(left_zero_semigroup(2), left_zero_semigroup(3)) is False
+    assert semigroup_isomorphic(group_as_semigroup(make_cyclic(4)), group_as_semigroup(make_cyclic(2))) is False
+
+
 # -- associativity validation ----------------------------------------------------------------------
 
 
