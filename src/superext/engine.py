@@ -17,6 +17,7 @@ from .groups import (
     MAX_PIPELINE_ORDER,
     make_cq_product,
     mask_elements,
+    orbits,
     parse_spec,
     spec_order,
     subtable,
@@ -31,6 +32,7 @@ from .twin import (
     cq_factors,
     fix_minus_table,
     maximal_2cogroups,
+    q_counts,
     tag_str,
     twin_sets_for,
 )
@@ -162,7 +164,6 @@ class StructureReport:
 def analyze_structural(g: FiniteGroup, name: str = "?") -> StructureReport:
     if g.order > MAX_PIPELINE_ORDER:
         raise ValueError(f"structural analysis capped at order {MAX_PIPELINE_ORDER}")
-    q: dict[Tag, int] = {}
     per_orbit = []
     m = 0
     for orbit in cogroup_orbits(g):
@@ -177,7 +178,6 @@ def analyze_structural(g: FiniteGroup, name: str = "?") -> StructureReport:
         tag = orbit.characteristic_type
         if 1 << tag[1] != h_order:
             raise InvariantError("characteristic type disagrees with |Stab(K)/KK|")
-        q[tag] = q.get(tag, 0) + 1
         per_orbit.append(
             OrbitSummary(
                 rep_mask=k.members,
@@ -188,7 +188,7 @@ def analyze_structural(g: FiniteGroup, name: str = "?") -> StructureReport:
                 classification=tag,
             )
         )
-    return StructureReport(name, tuple(sorted(q.items())), m, per_orbit=tuple(per_orbit))
+    return StructureReport(name, tuple(sorted(q_counts(g).items())), m, per_orbit=tuple(per_orbit))
 
 
 # -- brute-force analysis ---------------------------------------------------------------
@@ -310,26 +310,24 @@ def min_ideal_membership(g: FiniteGroup, system: MlsSignature) -> bool:
     (1) the image of the maximal-cogroup twin family is a minimal covering
     family (meets each conjugacy class of twin families in one shift orbit);
     (2) every other value is empty, full, or already in that image.
+
+    Phi f of a system is equivariant and symmetric, so x*a = X\\a gives
+    x*f(a) = X\\f(a): Fix-(a) lies in Fix-(f(a)).  A non-empty Fix- is a
+    2-cogroup, so for every maximal K, f maps T_K into T_K.  The image thus
+    meets every class, and only in twin sets of maximal 2-cogroups, so (1)
+    reduces to the one-shift-orbit test.
     """
     full = g.full_mask()
     maximal = {k.members for k in maximal_2cogroups(g)}
     fixm = fix_minus_table(g)
-    hat_t = [a for a in range(full + 1) if fixm[a] in maximal]
     values = phi_table(system)
-    image = {values[a] for a in hat_t}
-    if any(fixm[b] not in maximal for b in image):
-        return False
-
+    image = {values[a] for a in range(full + 1) if fixm[a] in maximal}
     for orbit in cogroup_orbits(g):
         class_masks = {k.members for k in orbit.members}
         in_class = {b for b in image if fixm[b] in class_masks}
-        if not in_class:
-            return False
         rep = min(in_class)
-        shift_orbit = {g.shift_mask(x, rep) for x in range(g.order)}
-        if in_class != shift_orbit:
+        if in_class != {g.shift_mask(x, rep) for x in range(g.order)}:
             return False
-
     allowed = {0, full} | image
     return all(v in allowed for v in values)
 
@@ -366,17 +364,17 @@ def build_projection_idempotent(g: FiniteGroup) -> MlsSignature:
     fixm = fix_minus_table(g)
     e_map = [-1] * (full + 1)
 
+    def shift_orbits(points):
+        return orbits(points, lambda a: (g.shift_mask(x, a) for x in range(n)))
+
     # twin sets: collapse X-orbits onto the selector family
-    for a in range(full + 1):
-        if e_map[a] != -1 or not fixm[a]:
-            continue
-        k_star = next(k for k in maximal if k & fixm[a] == fixm[a])
-        target = target_of[k_star]
-        shifts = [g.shift_mask(x, a) for x in range(n)]
-        if target in shifts:
+    for orbit in shift_orbits(a for a in range(full + 1) if fixm[a]):
+        a = orbit[0]
+        target = target_of[next(k for k in maximal if k & fixm[a] == fixm[a])]
+        if target in orbit:
             target = a  # a lies in the selector orbit itself: keep the identity there
         for x in range(n):
-            e_map[shifts[x]] = g.shift_mask(x, target)
+            e_map[g.shift_mask(x, a)] = g.shift_mask(x, target)
 
     # non-twin sets: 0/1 values from a maximal invariant linked family,
     # completed greedily by descending size: the shift orbit of a joins
@@ -387,11 +385,11 @@ def build_projection_idempotent(g: FiniteGroup) -> MlsSignature:
     # A non-twin a missing its shift xa has xa inside X\a: if |a| < n/2,
     # the larger X\a came first and joined, as a had not; |a| = n/2 would
     # make xa = X\a and a a twin set.
-    for a in sorted(range(full + 1), key=lambda m: (-m.bit_count(), m)):
-        if e_map[a] == -1:
-            v = 0 if e_map[a ^ full] == full else full
-            for x in range(n):
-                e_map[g.shift_mask(x, a)] = v
+    non_twins = sorted((a for a in range(full + 1) if not fixm[a]), key=lambda m: (-m.bit_count(), m))
+    for orbit in shift_orbits(non_twins):
+        v = 0 if e_map[orbit[0] ^ full] == full else full
+        for b in orbit:
+            e_map[b] = v
 
     half = 1 << (n - 1)
     sig = MlsSignature(g, sum(1 << p for p in range(half) if e_map[p] & 1))

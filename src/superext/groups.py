@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from math import gcd
 
@@ -343,21 +343,6 @@ def to_cayley_document(g: FiniteGroup) -> dict:
 # -- subgroups ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    parent: FiniteGroup = field(compare=False)
-    mask: int = 0
-    normal: bool = False
-    index: int = 0
-
-    @property
-    def size(self) -> int:
-        return self.mask.bit_count()
-
-    def elements(self):
-        return mask_elements(self.mask)
-
-
 def closure(table, mask: int) -> int:
     """Smallest mask containing mask and closed under the product of table."""
     seen = mask
@@ -394,8 +379,9 @@ def is_normal_mask(g: FiniteGroup, mask: int) -> bool:
     return all(g.conj_mask(x, mask) == mask for x in range(g.order))
 
 
-def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
-    """Complete duplicate-free subgroup list, found by generator extension."""
+def all_subgroups(g: FiniteGroup) -> list[int]:
+    """Complete duplicate-free list of subgroup masks, by (size, mask),
+    found by generator extension."""
     if g.order > MAX_GROUP_ORDER:
         raise ValueError(f"order {g.order} exceeds cap {MAX_GROUP_ORDER}")
 
@@ -411,64 +397,51 @@ def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
                 if k not in found:
                     found.add(k)
                     frontier.append(k)
-        subs = []
-        for mask in sorted(found, key=lambda m: (m.bit_count(), m)):
-            subs.append(
-                Subgroup(
-                    parent=g,
-                    mask=mask,
-                    normal=is_normal_mask(g, mask),
-                    index=g.order // mask.bit_count(),
-                )
-            )
-        return subs
+        return sorted(found, key=lambda m: (m.bit_count(), m))
 
     return g._cache("subgroups", build)
 
 
-# -- homomorphisms and quotients ---------------------------------------------------
+def orbits(points, images) -> list[list[int]]:
+    """The partition of points into the sorted sets images(p), one per point
+    p not yet covered, in the order of those points.
+
+    images(p) must hold p, as the orbit of p under a group action does.
+    """
+    seen = set()
+    out = []
+    for p in points:
+        if p not in seen:
+            orbit = sorted(set(images(p)))
+            seen.update(orbit)
+            out.append(orbit)
+    return out
 
 
-@dataclass(frozen=True)
-class GroupHom:
-    source: FiniteGroup = field(compare=False)
-    target: FiniteGroup = field(compare=False)
-    images: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.images[0] != 0:
-            raise ValueError("homomorphism must send identity to identity")
-        for x in range(self.source.order):
-            for y in range(self.source.order):
-                if self.images[self.source.table[x][y]] != self.target.table[self.images[x]][self.images[y]]:
-                    raise ValueError(f"not a homomorphism at pair ({x},{y})")
-
-    def kernel_mask(self) -> int:
-        return mask_from_elements(x for x, v in enumerate(self.images) if v == 0)
-
-    def is_surjective(self) -> bool:
-        return len(set(self.images)) == self.target.order
+# -- quotients -------------------------------------------------------------------------
 
 
-def quotient(g: FiniteGroup, mask: int) -> tuple[FiniteGroup, GroupHom]:
-    """Group on the cosets of the normal subgroup mask, plus the projection."""
-    coset_of = [-1] * g.order
-    reps = []
-    for x in range(g.order):
-        if coset_of[x] == -1:
-            for h in mask_elements(mask):
-                coset_of[g.table[x][h]] = len(reps)
-            reps.append(x)
+def quotient(g: FiniteGroup, mask: int) -> tuple[FiniteGroup, list[int]]:
+    """Group on the left cosets of the normal subgroup mask, in the order of
+    their least elements, plus coset_of[x], the coset of x."""
+    if not is_subgroup_mask(g, mask):
+        raise ValueError("quotient requires a normal subgroup")
+    cosets = orbits(range(g.order), lambda x: (g.table[x][h] for h in mask_elements(mask)))
+    reps = [c[0] for c in cosets]
+    coset_of = [0] * g.order
+    for i, c in enumerate(cosets):
+        for x in c:
+            coset_of[x] = i
     # a subgroup N is normal iff N*r = r*N for every representative r (then x^-1 N x = N on r*N)
-    if not is_subgroup_mask(g, mask) or any(
-        coset_of[g.table[h][r]] != coset_of[r] for r in reps for h in mask_elements(mask)
-    ):
+    if any(coset_of[g.table[h][r]] != coset_of[r] for r in reps for h in mask_elements(mask)):
         raise ValueError("quotient requires a normal subgroup")
     q = FiniteGroup(subtable(lambda a, b: reps[coset_of[g.table[a][b]]], reps))
-    hom = GroupHom(source=g, target=q, images=tuple(coset_of))
-    if not hom.is_surjective() or hom.kernel_mask() != mask:
-        raise InvariantError("quotient projection has the wrong image or kernel")
-    return q, hom
+    for x in range(g.order):
+        if any(coset_of[g.table[x][y]] != q.table[coset_of[x]][coset_of[y]] for y in range(g.order)):
+            raise InvariantError(f"coset projection is not a homomorphism at {x}")
+    if mask_from_elements(x for x, c in enumerate(coset_of) if c == 0) != mask:
+        raise InvariantError("coset projection has the wrong kernel")
+    return q, coset_of
 
 
 def greedy_generators(table, order) -> list[int]:
@@ -518,13 +491,12 @@ def cogroup_masks(g: FiniteGroup) -> list[tuple[int, int, int]]:
         subs = all_subgroups(g)
         out = {}
         for hpm in subs:
-            if hpm.size % 2:
+            size = hpm.bit_count()
+            if size % 2:
                 continue
-            half = hpm.size // 2
             for h in subs:
-                if h.size == half and h.mask & hpm.mask == h.mask:
-                    k = hpm.mask ^ h.mask
-                    out[k] = (k, h.mask, hpm.mask)
+                if 2 * h.bit_count() == size and h & hpm == h:
+                    out[hpm ^ h] = (hpm ^ h, h, hpm)
         return sorted(out.values())
 
     return g._cache("cogroup_masks", build)
@@ -543,8 +515,8 @@ def maximal_cogroup_masks(g: FiniteGroup) -> list[tuple[int, int, int]]:
     return g._cache("maximal_cogroup_masks", build)
 
 
-def odd_subgroup(g: FiniteGroup) -> Subgroup:
-    """Largest normal subgroup all of whose elements have odd order.
+def odd_subgroup(g: FiniteGroup) -> int:
+    """Mask of the largest normal subgroup all of whose elements have odd order.
 
     Computed as the intersection of KK over all maximal 2-cogroups K and
     verified against a direct search over normal odd subgroups.
@@ -556,15 +528,15 @@ def odd_subgroup(g: FiniteGroup) -> Subgroup:
     # direct search: the largest normal subgroup with all element orders odd
     best = 1
     for s in all_subgroups(g):
-        if s.normal and all(g.element_orders[x] % 2 for x in s.elements()):
-            if s.size > best.bit_count():
-                best = s.mask
+        if is_normal_mask(g, s) and all(g.element_orders[x] % 2 for x in mask_elements(s)):
+            if s.bit_count() > best.bit_count():
+                best = s
             # every normal odd subgroup must sit inside the intersection
-            if s.mask & mask != s.mask:
+            if s & mask != s:
                 raise InvariantError("normal odd subgroup escapes the KK intersection")
     if mask != best:
         raise InvariantError("KK intersection disagrees with direct search")
-    return Subgroup(parent=g, mask=mask, normal=True, index=g.order // mask.bit_count())
+    return mask
 
 
 # -- isomorphism testing ----------------------------------------------------------

@@ -16,6 +16,7 @@ from .groups import (
     find_isomorphism,
     greedy_generators,
     mask_elements,
+    orbits,
     subtable,
 )
 from .twin import TkData, TwoCogroup, twin_sets_for
@@ -103,16 +104,8 @@ def minimal_ideal(s: FiniteSemigroup) -> frozenset[int]:
 
 
 def minimal_left_ideals(s: FiniteSemigroup) -> list[frozenset[int]]:
-    """All minimal left ideals: S*z over the minimal ideal, deduplicated."""
-    seen: set[frozenset[int]] = set()
-    covered: set[int] = set()
-    for z in sorted(minimal_ideal(s)):
-        if z in covered:
-            continue
-        ideal = left_ideal(s, z)
-        seen.add(ideal)
-        covered.update(ideal)
-    return sorted(seen, key=sorted)
+    """All minimal left ideals: the partition of the minimal ideal into the S*z."""
+    return [frozenset(o) for o in orbits(sorted(minimal_ideal(s)), lambda z: left_ideal(s, z))]
 
 
 # -- maximal subgroups and the Rees decomposition ------------------------------------
@@ -221,8 +214,8 @@ def end_tk_min_ideal_expected(sem: FiniteSemigroup, tk: TkData) -> frozenset[int
     out = []
     for i in range(sem.size):
         f = sem.labels[i]
-        orbits = {tk.orbit_of(tk.twin_masks[v]) for v in f}
-        if len(orbits) == 1:
+        hit = {tk.orbit_of(tk.twin_masks[v]) for v in f}
+        if len(hit) == 1:
             out.append(i)
     return frozenset(out)
 

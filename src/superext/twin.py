@@ -20,6 +20,7 @@ from .groups import (
     mask_elements,
     mask_from_elements,
     maximal_cogroup_masks,
+    orbits,
     quotient,
     subgroup_closure,
     subtable,
@@ -142,19 +143,12 @@ def cogroup_orbits(g: FiniteGroup) -> list[CogroupOrbit]:
     """Conjugation orbits of the maximal 2-cogroups, smallest mask first."""
     def build():
         cogs = {k.members: k for k in maximal_2cogroups(g)}
-        seen = set()
-        orbits = []
-        for mask in sorted(cogs):
-            if mask in seen:
-                continue
-            orbit_masks = sorted({conjugate_cogroup(cogs[mask], x) for x in range(g.order)})
-            seen.update(orbit_masks)
-            members = tuple(cogs[m] for m in orbit_masks)
+        out = []
+        for orbit in orbits(sorted(cogs), lambda m: (g.conj_mask(x, m) for x in range(g.order))):
+            members = tuple(cogs[m] for m in orbit)
             _, tag = characteristic_group(members[0])
-            orbits.append(
-                CogroupOrbit(representative=members[0], members=members, characteristic_type=tag)
-            )
-        return orbits
+            out.append(CogroupOrbit(representative=members[0], members=members, characteristic_type=tag))
+        return out
 
     return g._cache("cogroup_orbits", build)
 
@@ -245,18 +239,6 @@ class TkData:
         raise KeyError(mask)
 
 
-def _right_coset_transversal(g: FiniteGroup, sub_mask: int) -> list[int]:
-    """Greedy smallest-element-first transversal of the right cosets sub*x."""
-    reps = []
-    covered = 0
-    for x in range(g.order):
-        if not (covered >> x) & 1:
-            reps.append(x)
-            for h in mask_elements(sub_mask):
-                covered |= 1 << g.table[h][x]
-    return reps
-
-
 def twin_sets_for(k: TwoCogroup) -> TkData:
     """All twin sets with Fix- exactly K, plus their orbit decomposition.
 
@@ -266,7 +248,7 @@ def twin_sets_for(k: TwoCogroup) -> TkData:
     if not k.maximal:
         raise ValueError("twin-set families are only computed for maximal 2-cogroups")
     g = k.group
-    reps = _right_coset_transversal(g, k.kpm)
+    reps = [c[0] for c in orbits(range(g.order), lambda x: (g.table[h][x] for h in mask_elements(k.kpm)))]
     kk_elems = list(mask_elements(k.kk))
     k_elems = list(mask_elements(k.members))
     built = set()
@@ -285,26 +267,16 @@ def twin_sets_for(k: TwoCogroup) -> TkData:
         raise InvariantError(f"|T_K| = {len(twins)}, expected 2^{k.kpm_index()}")
 
     stab_elems = list(mask_elements(k.stab))
-    seen = set()
-    orbits = []
-    for a in twins:
-        if a in seen:
-            continue
-        orb = tuple(sorted({g.shift_mask(x, a) for x in stab_elems}))
-        seen.update(orb)
-        orbits.append(orb)
+    twin_orbits = tuple(map(tuple, orbits(twins, lambda a: (g.shift_mask(x, a) for x in stab_elems))))
     h_order = k.stab.bit_count() // k.kk.bit_count()
-    if any(len(o) != h_order for o in orbits):
+    if any(len(o) != h_order for o in twin_orbits):
         raise InvariantError("the characteristic-group act is not free")
-    return TkData(cogroup=k, twin_masks=twins, orbits=tuple(orbits))
+    return TkData(cogroup=k, twin_masks=twins, orbits=twin_orbits)
 
 
 def q_counts(g: FiniteGroup) -> dict[tuple[str, int], int]:
     """Conjugation-orbit counts of maximal 2-cogroups keyed by characteristic type."""
-    out: dict[tuple[str, int], int] = {}
-    for orbit in cogroup_orbits(g):
-        out[orbit.characteristic_type] = out.get(orbit.characteristic_type, 0) + 1
-    return out
+    return dict(Counter(orbit.characteristic_type for orbit in cogroup_orbits(g)))
 
 
 def realized_cogroups(g: FiniteGroup) -> dict[int, bool]:

@@ -19,8 +19,11 @@ from superext.engine import (
     type_string,
 )
 from superext.groups import (
+    FgAbelianPresentation,
     direct_product,
+    fg_abelian_q,
     hom_count_to_cyclic2,
+    invariant_factors,
     make_cyclic,
     make_generalized_quaternion,
     odd_subgroup,
@@ -161,6 +164,17 @@ def test_abelian_q_matches_hom_formula():
         assert rep.q_dict() == expected, spec
 
 
+def test_abelian_m_matches_closed_form():
+    # the third route: m = sum over k of q_k * (2^(k-1) - k), q_k from the invariant factors
+    abelian = [spec for spec in catalog_specs(16) if parse_spec(spec).is_abelian]
+    assert len(abelian) == 23
+    for spec in abelian:
+        g = parse_spec(spec)
+        presentation = FgAbelianPresentation(0, invariant_factors(g))
+        m = sum(fg_abelian_q(presentation, k) * (2 ** (k - 1) - k) for k in range(1, g.order.bit_length() + 1))
+        assert analyze_structural(g, spec).left_zero_exponent == m, spec
+
+
 # -- brute analysis -------------------------------------------------------------------------
 
 
@@ -217,7 +231,7 @@ def test_cross_check_klein():
 def test_odd_reduction_types_match():
     for spec in ("C6", "C10", "C12", "C2xC3", "D6"):
         g = parse_spec(spec)
-        q, _ = quotient(g, odd_subgroup(g).mask)
+        q, _ = quotient(g, odd_subgroup(g))
         a = analyze_structural(g, spec)
         b = analyze_structural(q, spec + "/odd")
         assert a.min_left_ideal_type == b.min_left_ideal_type, spec
@@ -249,10 +263,12 @@ def test_membership_majority_true():
     assert min_ideal_membership(g, maj)
 
 
-def test_membership_identity_ultrafilter_false():
+@pytest.mark.parametrize("spec", ["C4", "C8", "D8", "Q8"])
+def test_membership_identity_ultrafilter_false(spec):
+    # C4 fails on a value outside the image, the others on the one-shift-orbit test
     from superext.setfam import principal_ultrafilter
 
-    g = make_cyclic(4)
+    g = parse_spec(spec)
     assert not min_ideal_membership(g, principal_ultrafilter(g, 0))
 
 

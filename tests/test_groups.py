@@ -7,18 +7,19 @@ from superext.groups import (
     FiniteGroup,
     GroupValidationError,
     INFINITY,
-    Subgroup,
     all_subgroups,
     direct_product,
     fg_abelian_q,
     from_cayley_document,
     group_isomorphic,
     hom_count_to_cyclic2,
+    is_normal_mask,
     make_alternating4,
     make_cyclic,
     make_dihedral,
     make_generalized_quaternion,
     mask_elements,
+    mask_from_elements,
     odd_subgroup,
     quotient,
     subgroup_closure,
@@ -113,9 +114,9 @@ def test_alternating4_census():
 
 def test_alternating4_subgroups():
     g = make_alternating4()
-    sizes = [s.size for s in all_subgroups(g)]
+    sizes = [s.bit_count() for s in all_subgroups(g)]
     assert 6 not in sizes
-    assert any(s.size == 4 and s.normal for s in all_subgroups(g))
+    assert any(s.bit_count() == 4 and is_normal_mask(g, s) for s in all_subgroups(g))
 
 
 def test_direct_product_klein():
@@ -196,12 +197,13 @@ def test_document_round_trip_q8():
 
 
 def test_subgroups_c4():
-    assert [s.size for s in all_subgroups(make_cyclic(4))] == [1, 2, 4]
+    assert [s.bit_count() for s in all_subgroups(make_cyclic(4))] == [1, 2, 4]
 
 
 def test_subgroups_q8_all_normal():
-    subs = all_subgroups(make_generalized_quaternion(8))
-    assert len(subs) == 6 and all(s.normal for s in subs)
+    g = make_generalized_quaternion(8)
+    subs = all_subgroups(g)
+    assert len(subs) == 6 and all(is_normal_mask(g, s) for s in subs)
 
 
 def test_subgroups_trivial():
@@ -214,35 +216,36 @@ def test_subgroups_complete_for_s3():
 
     g = make_dihedral(6)
     expected = {m for m in range(1, 1 << 6) if is_subgroup_mask(g, m)}
-    assert {s.mask for s in all_subgroups(g)} == expected
+    assert set(all_subgroups(g)) == expected
 
 
 def test_quotient_c4():
     g = make_cyclic(4)
-    sub = next(s for s in all_subgroups(g) if s.size == 2)
-    q, hom = quotient(g, sub.mask)
+    sub = next(s for s in all_subgroups(g) if s.bit_count() == 2)
+    q, coset_of = quotient(g, sub)
     assert group_isomorphic(q, make_cyclic(2))
-    assert hom.is_surjective() and hom.kernel_mask() == sub.mask
+    assert set(coset_of) == set(range(q.order))
+    assert mask_from_elements(x for x, c in enumerate(coset_of) if c == 0) == sub
 
 
 def test_quotient_q8_center():
     g = make_generalized_quaternion(8)
-    sub = next(s for s in all_subgroups(g) if s.mask == g.center_mask())
-    q, _ = quotient(g, sub.mask)
+    sub = next(s for s in all_subgroups(g) if s == g.center_mask())
+    q, _ = quotient(g, sub)
     assert group_isomorphic(q, direct_product(make_cyclic(2), make_cyclic(2)))
 
 
 def test_quotient_by_whole_group():
     g = make_dihedral(6)
-    q, _ = quotient(g, all_subgroups(g)[-1].mask)
+    q, _ = quotient(g, all_subgroups(g)[-1])
     assert q.order == 1
 
 
 def test_quotient_rejects_non_normal():
     g = make_dihedral(6)
-    sub = next(s for s in all_subgroups(g) if s.size == 2 and not s.normal)
+    sub = next(s for s in all_subgroups(g) if s.bit_count() == 2 and not is_normal_mask(g, s))
     with pytest.raises(ValueError):
-        quotient(g, sub.mask)
+        quotient(g, sub)
 
 
 def test_quotient_rejects_a_mask_that_is_not_a_normal_subgroup():
@@ -295,26 +298,26 @@ def test_hom_count_nonabelian_factors_through_commutators():
 
 def test_odd_subgroup_c6():
     sub = odd_subgroup(make_cyclic(6))
-    assert sorted(mask_elements(sub.mask)) == [0, 2, 4]
+    assert sorted(mask_elements(sub)) == [0, 2, 4]
 
 
 def test_odd_subgroup_a4_trivial():
-    assert odd_subgroup(make_alternating4()).mask == 1
+    assert odd_subgroup(make_alternating4()) == 1
 
 
 def test_odd_subgroup_c2_trivial():
-    assert odd_subgroup(make_cyclic(2)).mask == 1
+    assert odd_subgroup(make_cyclic(2)) == 1
 
 
 def test_odd_subgroup_properties_catalog():
     for spec in catalog_specs(16):
         g = parse_spec(spec)
         sub = odd_subgroup(g)
-        assert sub.normal
-        assert all(g.element_orders[x] % 2 for x in sub.elements())
+        assert is_normal_mask(g, sub)
+        assert all(g.element_orders[x] % 2 for x in mask_elements(sub))
         for s in all_subgroups(g):
-            if s.normal and all(g.element_orders[x] % 2 for x in s.elements()):
-                assert s.mask & sub.mask == s.mask
+            if is_normal_mask(g, s) and all(g.element_orders[x] % 2 for x in mask_elements(s)):
+                assert s & sub == s
 
 
 # -- q-count consistency (subgroup census vs hom formula, abelian) -------------------------
@@ -325,9 +328,9 @@ def quotient_q_census(g, k):
     target = make_cyclic(2**k)
     count = 0
     for s in all_subgroups(g):
-        if not s.normal or s.index != 2**k:
+        if not is_normal_mask(g, s) or g.order // s.bit_count() != 2**k:
             continue
-        q, _ = quotient(g, s.mask)
+        q, _ = quotient(g, s)
         if group_isomorphic(q, target):
             count += 1
     return count

@@ -1,5 +1,6 @@
-"""Guarantees that span modules: no bare asserts, no engine -> cli import,
-fresh file specs, and loader errors reported in document indices."""
+"""Guarantees that span modules: no bare asserts, a line budget for src/,
+no engine -> cli import, fresh file specs, and loader errors reported in
+document indices."""
 
 import ast
 import json
@@ -24,6 +25,12 @@ def test_no_assert_statements_in_src():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.relative_to(SRC)}:{node.lineno}")
     assert found == []
+
+
+def test_src_stays_within_its_line_budget():
+    # the ceiling that the roadmap sets for src/superext once the oracle and the full catalog land
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in (SRC / "superext").glob("*.py"))
+    assert lines <= 2508
 
 
 def test_engine_does_not_import_cli():

@@ -9,6 +9,7 @@ from superext.engine import catalog_specs
 from superext.groups import (
     all_subgroups,
     group_isomorphic,
+    is_normal_mask,
     is_subgroup_mask,
     make_alternating4,
     make_cyclic,
@@ -152,11 +153,11 @@ def test_cogroups_q8():
     assert minus_one in masks
     full = g.full_mask()
     # complements of the three cyclic order-4 subgroups
-    subs4 = [s for s in all_subgroups(g) if s.size == 4]
+    subs4 = [s for s in all_subgroups(g) if s.bit_count() == 4]
     for s in subs4:
-        assert (s.mask ^ full) in masks
+        assert (s ^ full) in masks
     maximal = {k.members for k in maximal_2cogroups(g)}
-    assert maximal == {minus_one} | {s.mask ^ full for s in subs4}
+    assert maximal == {minus_one} | {s ^ full for s in subs4}
     assert len(maximal) == 4
 
 
@@ -191,7 +192,7 @@ def test_maximal_cogroups_a4():
     maximal = maximal_2cogroups(g)
     assert len(maximal) == 3
     assert all(k.size == 2 for k in maximal)
-    klein = max(s.mask for s in all_subgroups(g) if s.size == 4 and s.normal)
+    klein = max(s for s in all_subgroups(g) if s.bit_count() == 4 and is_normal_mask(g, s))
     for k in maximal:
         assert k.members & klein == k.members
 
