@@ -12,8 +12,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations, product, repeat
 from math import gcd
+from operator import itemgetter
 
 MAX_PIPELINE_ORDER = 16
 MAX_GROUP_ORDER = 64
@@ -41,7 +42,8 @@ class FiniteGroup:
     """Immutable group on 0..n-1 given by its full multiplication table."""
 
     def __init__(self, table, names=None):
-        self.table = tuple(tuple(int(v) for v in row) for row in table)
+        check_shape(table, len(table))
+        self.table = tuple(map(tuple, table))
         self.order = len(self.table)
         self.names = tuple(names) if names is not None else None
         self.identity = 0
@@ -56,32 +58,27 @@ class FiniteGroup:
     # -- construction-time validation -------------------------------------
 
     def _validate(self) -> None:
-        n = self.order
-        check_shape(self.table, n)
+        n, t = self.order, self.table
         if self.names is not None and len(self.names) != n:
             raise GroupValidationError("shape", "names length does not match order")
+        columns = list(zip(*t))
         for i in range(n):
-            if len(set(self.table[i])) != n:
+            if len(set(t[i])) != n:
                 raise GroupValidationError("latin_square", f"row {i} is not a permutation", witness=i)
-            col = set(self.table[j][i] for j in range(n))
-            if len(col) != n:
+            if len(set(columns[i])) != n:
                 raise GroupValidationError("latin_square", f"column {i} is not a permutation", witness=i)
         ident = tuple(range(n))
-        if self.table[0] != ident or tuple(self.table[i][0] for i in range(n)) != ident:
+        if t[0] != ident or columns[0] != ident:
             raise GroupValidationError("identity", "index 0 is not a two-sided identity")
-        t = self.table
-        for i in range(n):
-            ti = t[i]
-            for j in range(n):
-                tij = ti[j]
-                tj = t[j]
-                for k in range(n):
-                    if t[tij][k] != ti[tj[k]]:
-                        raise GroupValidationError(
-                            "associativity",
-                            f"({i}*{j})*{k} != {i}*({j}*{k})",
-                            witness=(i, j, k),
-                        )
+        # (i*j)*k = i*(j*k) for every k iff row t[i*j] is row t[i] gathered at
+        # row t[j], and gathers[i](t) lists the rows t[i*j] for every j
+        gathers = [gather(row) for row in t]
+        for i, ti in enumerate(t):
+            left = list(gathers[i](t))
+            if left != [g(ti) for g in gathers]:
+                j = next(j for j in range(n) if left[j] != gathers[j](ti))
+                k = next(k for k in range(n) if t[ti[j]][k] != ti[t[j][k]])
+                raise GroupValidationError("associativity", f"({i}*{j})*{k} != {i}*({j}*{k})", witness=(i, j, k))
 
     # -- basic arithmetic ---------------------------------------------------
 
@@ -175,12 +172,14 @@ def check_shape(table, n: int) -> None:
     """n >= 1 rows of n int entries in 0..n-1, or GroupValidationError("shape")."""
     if not isinstance(table, (list, tuple)) or n < 1 or len(table) != n:
         raise GroupValidationError("shape", f"table is not a list of {n} >= 1 rows")
+    entries = set(range(n))
     for i, row in enumerate(table):
         if not isinstance(row, (list, tuple)) or len(row) != n:
             raise GroupValidationError("shape", f"row {i} is not a list of {n} entries")
-        for j, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < n:
-                raise GroupValidationError("shape", f"entry ({i},{j}) = {v!r} out of range")
+        # the type test first: 1.0 == 1 would pass the range test
+        if not (all(map(isinstance, row, repeat(int))) and entries.issuperset(row)):
+            j, v = next((j, v) for j, v in enumerate(row) if not isinstance(v, int) or not 0 <= v < n)
+            raise GroupValidationError("shape", f"entry ({i},{j}) = {v!r} out of range")
 
 
 # -- mask helpers --------------------------------------------------------------
@@ -198,6 +197,15 @@ def mask_elements(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def gather(idx):
+    """seq -> tuple(seq[i] for i in idx) at C speed; a bare itemgetter of
+    one index would return a scalar."""
+    if len(idx) == 1:
+        i = idx[0]
+        return lambda seq: (seq[i],)
+    return itemgetter(*idx)
 
 
 def subtable(mul, elems) -> list[list[int]]:
@@ -344,17 +352,21 @@ def to_cayley_document(g: FiniteGroup) -> dict:
 
 
 def closure(table, mask: int) -> int:
-    """Smallest mask containing mask and closed under the product of table."""
+    """Smallest mask containing mask and closed under the product of table.
+
+    Every product s1...sk of masked elements is (s1...s(k-1))*sk, so closing
+    under right multiplication by the masked elements alone reaches them all.
+    """
+    gens = list(mask_elements(mask))
     seen = mask
-    frontier = list(mask_elements(mask))
+    frontier = gens[:]
     while frontier:
-        x = frontier.pop()
-        row = table[x]
-        for y in list(mask_elements(seen)):
-            for z in (row[y], table[y][x]):
-                if not (seen >> z) & 1:
-                    seen |= 1 << z
-                    frontier.append(z)
+        row = table[frontier.pop()]
+        for s in gens:
+            z = row[s]
+            if not seen >> z & 1:
+                seen |= 1 << z
+                frontier.append(z)
     return seen
 
 
@@ -386,16 +398,17 @@ def all_subgroups(g: FiniteGroup) -> list[int]:
         raise ValueError(f"order {g.order} exceeds cap {MAX_GROUP_ORDER}")
 
     def build():
-        found = {1}
+        found = {1: 0}  # each subgroup found -> a mask of generators of it
         frontier = [1]
         while frontier:
             h = frontier.pop()
             for x in range(1, g.order):
                 if (h >> x) & 1:
                     continue
-                k = subgroup_closure(g, h | (1 << x))
+                gens = found[h] | 1 << x
+                k = closure(g.table, gens)
                 if k not in found:
-                    found.add(k)
+                    found[k] = gens
                     frontier.append(k)
         return sorted(found, key=lambda m: (m.bit_count(), m))
 
@@ -452,7 +465,7 @@ def greedy_generators(table, order) -> list[int]:
     for x in order:
         if not (closed >> x) & 1:
             gens.append(x)
-            closed = closure(table, closed | (1 << x))
+            closed = closure(table, mask_from_elements(gens))
     return gens
 
 

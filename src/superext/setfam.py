@@ -13,9 +13,9 @@ import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import index as int_index, itemgetter
+from operator import index as int_index
 
-from .groups import FiniteGroup
+from .groups import FiniteGroup, gather
 
 MAX_ENUM_ORDER = 6
 MAX_ENUM_ORDER_WITH_BUDGET = 7
@@ -264,15 +264,6 @@ def phi_map(a) -> tuple[int, ...]:
     return tuple(phi(a, m) for m in range(g.full_mask() + 1))
 
 
-def _gather(idx):
-    """seq -> tuple(seq[i] for i in idx) at C speed; a bare itemgetter of
-    one index would return a scalar."""
-    if len(idx) == 1:
-        i = idx[0]
-        return lambda seq: (seq[i],)
-    return itemgetter(*idx)
-
-
 _FLIP = str.maketrans("01", "10")
 
 
@@ -294,7 +285,7 @@ def pair_row(sig: MlsSignature) -> tuple[int, ...]:
     def index():
         pad = [1 << n] * (width - n)
         rows = [g.shift_row(g.inv[x])[:half] for x in reversed(range(n))]
-        return _gather([i for col in zip(*rows) for i in pad + list(col)])
+        return gather([i for col in zip(*rows) for i in pad + list(col)])
 
     fields = g._cache("phi_fields", index)
     raw = int("".join(fields(_membership(sig) + "0")), 2).to_bytes(half * width // 8, "big")
@@ -318,7 +309,7 @@ def circ(a, b):
         raise ValueError("operands live over different groups")
     g = a.group
     if isinstance(a, MlsSignature) and isinstance(b, MlsSignature):
-        bits = _gather(pair_row(b)[::-1])(_membership(a))
+        bits = gather(pair_row(b)[::-1])(_membership(a))
         return MlsSignature(g, int("".join(bits), 2))
     fam_a = a.to_family() if isinstance(a, MlsSignature) else a
     fam_b = b.to_family() if isinstance(b, MlsSignature) else b
@@ -335,7 +326,7 @@ def indexed_circ(sigs: list[MlsSignature]):
     tables = [phi_table(s) for s in sigs]
     half = 1 << (sigs[0].group.order - 1)
     index = {t[:half]: i for i, t in enumerate(tables)}
-    gathers = [_gather(t[:half]) for t in tables]
+    gathers = [gather(t[:half]) for t in tables]
 
     def mult(i, j):
         return index[gathers[j](tables[i])]

@@ -1,5 +1,7 @@
 """Group constructors, subgroup machinery, hom counts, odd subgroup."""
 
+import random
+
 import pytest
 
 from superext.groups import (
@@ -8,12 +10,14 @@ from superext.groups import (
     GroupValidationError,
     INFINITY,
     all_subgroups,
+    closure,
     direct_product,
     fg_abelian_q,
     from_cayley_document,
     group_isomorphic,
     hom_count_to_cyclic2,
     is_normal_mask,
+    is_subgroup_mask,
     make_alternating4,
     make_cyclic,
     make_dihedral,
@@ -26,7 +30,7 @@ from superext.groups import (
     to_cayley_document,
 )
 from superext.cli import parse_spec
-from superext.engine import catalog_specs
+from superext.engine import build_type_semigroup, catalog_specs, lambda_semigroup
 from superext.twin import fix_operators
 
 
@@ -162,6 +166,9 @@ def test_document_nonassociative_names_triple():
     i, j, k = exc.value.witness
     t = NONASSOCIATIVE_LOOP
     assert t[t[i][j]][k] != t[i][t[j][k]]
+    # the first failing triple in row-major order
+    first = next((i, j, k) for i in range(5) for j in range(5) for k in range(5) if t[t[i][j]][k] != t[i][t[j][k]])
+    assert exc.value.witness == first == (1, 1, 2)
 
 
 def test_document_latin_square_error():
@@ -210,13 +217,59 @@ def test_subgroups_trivial():
     assert len(all_subgroups(make_cyclic(1))) == 1
 
 
-def test_subgroups_complete_for_s3():
-    # independent oracle: filter all element subsets of D6 for subgroup axioms
-    from superext.groups import is_subgroup_mask
+SUBGROUP_COUNTS = {
+    "C2xC2xC2xC2": 67,
+    "C2xC2xC4": 27,
+    "D16": 19,
+    "D12": 16,
+    "C2xC2xC2": 16,
+    "C4xC4": 15,
+    "C2xC8": 11,
+    "Q16": 11,
+    "D8": 10,
+    "A4": 10,
+}
 
-    g = make_dihedral(6)
-    expected = {m for m in range(1, 1 << 6) if is_subgroup_mask(g, m)}
-    assert set(all_subgroups(g)) == expected
+
+@pytest.mark.parametrize("spec", catalog_specs())
+def test_subgroups_complete_for_every_catalog_group(spec):
+    # independent oracle: filter every subset holding the identity for the subgroup axioms
+    g = parse_spec(spec)
+    subs = all_subgroups(g)
+    expected = {m for m in range(1, 1 << g.order, 2) if is_subgroup_mask(g, m)}
+    assert set(subs) == expected and len(subs) == len(expected)
+    assert subs == sorted(subs, key=lambda m: (m.bit_count(), m))
+    if spec.startswith("C") and "x" not in spec:
+        # a cyclic group has one subgroup per divisor of its order
+        assert len(subs) == sum(g.order % d == 0 for d in range(1, g.order + 1))
+    elif spec in SUBGROUP_COUNTS:
+        assert len(subs) == SUBGROUP_COUNTS[spec]
+
+
+def _two_sided_closure(table, mask):
+    """The naive fixed point: add every product of two members until none is new."""
+    while True:
+        members = list(mask_elements(mask))
+        grown = mask
+        for a in members:
+            for b in members:
+                grown |= 1 << table[a][b]
+        if grown == mask:
+            return mask
+        mask = grown
+
+
+def test_generator_closure_is_the_two_sided_fixed_point():
+    rng = random.Random(13)
+    tables = [parse_spec(spec).table for spec in ("D8", "Q16", "A4", "C2xC2xC4", "D12", "C15")]
+    # two semigroups that are not groups: left zeros times C2, and lambda(C4)
+    tables.append(build_type_semigroup(2, {("C", 1): 1}).table)
+    tables.append(lambda_semigroup(make_cyclic(4)).table)
+    for table in tables:
+        n = len(table)
+        for _ in range(60):
+            mask = sum(1 << x for x in rng.sample(range(n), rng.randint(1, 3)))
+            assert closure(table, mask) == _two_sided_closure(table, mask)
 
 
 def test_quotient_c4():
@@ -435,12 +488,23 @@ def test_validation_error_kinds():
         ([[0, 1], [1, 2]], None, "shape"),  # entry out of range
         ([[0, 1], [1, 0]], ["e"], "shape"),  # names length
         ([[0, 1], [0, 1]], None, "latin_square"),  # rows permute, column 0 does not
+        ([[0, 1], [1, 0.5]], None, "shape"),  # a float entry is not coerced
+        ([["0", "1"], ["1", "0"]], None, "shape"),  # nor is a str entry
     ],
 )
 def test_finite_group_checks_its_own_table(table, names, kind):
     with pytest.raises(GroupValidationError) as exc:
         FiniteGroup(table, names=names)
     assert exc.value.kind == kind
+
+
+def test_latin_square_witness_is_the_first_column():
+    # every row is a permutation; columns 0 and 1 both repeat, and column 0 is named
+    table = [[0, 1, 2], [1, 2, 0], [0, 2, 1]]
+    with pytest.raises(GroupValidationError) as exc:
+        FiniteGroup(table)
+    assert exc.value.kind == "latin_square" and exc.value.witness == 0
+    assert "column 0" in str(exc.value)
 
 
 def test_shift_mask_above_the_shift_table_order():
