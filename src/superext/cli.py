@@ -12,7 +12,6 @@ import sys
 
 from .groups import (  # SpecError, parse_spec, spec_order: also imported from here
     GRAMMAR,
-    MAX_PIPELINE_ORDER,
     SpecError,
     parse_spec,
     spec_order,
@@ -56,9 +55,6 @@ def _print_header() -> None:
 
 def cmd_analyze(spec: str, brute: bool, as_json: bool, budget, seed: int) -> int:
     group = parse_spec(spec)
-    if group.order > MAX_PIPELINE_ORDER:
-        print(f"error: order {group.order} exceeds the pipeline cap {MAX_PIPELINE_ORDER}", file=sys.stderr)
-        return EXIT_INPUT
     if not brute:
         structural = engine.analyze_structural(group, spec)
         if as_json:

@@ -28,7 +28,6 @@ from .setfam import (
 from .twin import (
     Tag,
     cogroup_orbits,
-    conjugate_cogroup,
     cq_factors,
     fix_minus_table,
     maximal_2cogroups,
@@ -45,14 +44,6 @@ from .semigroups import (
 
 
 # -- type expressions ---------------------------------------------------------------
-
-
-def parse_tag(text: str) -> Tag:
-    fam = text[0]
-    order = int(text[1:])
-    if fam not in ("C", "Q") or order & (order - 1) or order < 2:
-        raise ValueError(f"bad factor tag {text!r}")
-    return (fam, order.bit_length() - 1)
 
 
 def type_string(m: int, q: dict[Tag, int]) -> str:
@@ -133,29 +124,6 @@ class StructureReport:
             "provenance": self.provenance,
             "notes": list(self.notes),
         }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "StructureReport":
-        q = tuple(sorted((parse_tag(t), c) for t, c in doc["q"].items()))
-        per_orbit = tuple(
-            OrbitSummary(
-                rep_mask=int(s["K"], 16),
-                kpm_index=s["x_mod_kpm"],
-                h_order=s["h_order"],
-                t_size=s["t_size"],
-                orbit_space_size=s["orbit_size_T"],
-                classification=parse_tag(s["classification"]),
-            )
-            for s in doc["m_summands"]
-        )
-        return cls(
-            group_name=doc["group"],
-            q_vector=q,
-            left_zero_exponent=doc["m"],
-            per_orbit=per_orbit,
-            provenance=doc["provenance"],
-            notes=tuple(doc["notes"]),
-        )
 
 
 # -- structural analysis ------------------------------------------------------------------
@@ -358,7 +326,7 @@ def build_projection_idempotent(g: FiniteGroup) -> MlsSignature:
         rep = orbit.representative
         twin = min(twin_sets_for(rep).twin_masks)
         for x in range(n):
-            target_of.setdefault(conjugate_cogroup(rep, x), g.shift_mask(x, twin))
+            target_of.setdefault(g.conj_mask(x, rep.members), g.shift_mask(x, twin))
     maximal = sorted(target_of)
 
     fixm = fix_minus_table(g)

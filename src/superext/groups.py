@@ -153,16 +153,8 @@ class FiniteGroup:
         return row
 
     def shift_mask(self, x: int, mask: int) -> int:
-        """{x*a : a in mask} as a mask."""
-        if self.order <= MAX_PIPELINE_ORDER:
-            return self.shift_row(x)[mask]
-        out = 0
-        row = self.table[x]
-        while mask:
-            low = mask & -mask
-            out |= 1 << row[low.bit_length() - 1]
-            mask ^= low
-        return out
+        """{x*a : a in mask} as a mask, read off shift_row (orders <= 16 only)."""
+        return self.shift_row(x)[mask]
 
     def __repr__(self):
         return f"FiniteGroup(order={self.order})"
@@ -376,15 +368,8 @@ def subgroup_closure(g: FiniteGroup, mask: int) -> int:
 
 
 def is_subgroup_mask(g: FiniteGroup, mask: int) -> bool:
-    if not mask & 1:
-        return False
-    for a in mask_elements(mask):
-        if not (mask >> g.inv[a]) & 1:
-            return False
-        for b in mask_elements(mask):
-            if not (mask >> g.table[a][b]) & 1:
-                return False
-    return True
+    """In a finite group a product-closed set holding the identity is a subgroup."""
+    return bool(mask & 1) and closure(g.table, mask) == mask
 
 
 def is_normal_mask(g: FiniteGroup, mask: int) -> bool:
@@ -516,14 +501,14 @@ def cogroup_masks(g: FiniteGroup) -> list[tuple[int, int, int]]:
 
 
 def maximal_cogroup_masks(g: FiniteGroup) -> list[tuple[int, int, int]]:
+    """The 2-cogroups in no larger one, by triple.  Walked by descending size:
+    a 2-cogroup inside a larger one lies inside a maximal one, met earlier."""
     def build():
-        all_ks = cogroup_masks(g)
         out = []
-        for trip in all_ks:
-            k = trip[0]
-            if not any(other[0] != k and other[0] & k == k for other in all_ks):
+        for trip in sorted(cogroup_masks(g), key=lambda t: -t[0].bit_count()):
+            if not any(m & trip[0] == trip[0] for m, _, _ in out):
                 out.append(trip)
-        return out
+        return sorted(out)
 
     return g._cache("maximal_cogroup_masks", build)
 

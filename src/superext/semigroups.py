@@ -291,7 +291,3 @@ def semigroup_isomorphic(
         return find_isomorphism(t1, t2, gens, keys1, keys2, budget) is not None
     except SearchBudgetExceeded:
         return None
-
-
-def group_as_semigroup(g: FiniteGroup) -> FiniteSemigroup:
-    return FiniteSemigroup.from_table(g.table)

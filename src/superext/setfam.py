@@ -68,11 +68,6 @@ class MlsSignature:
         return FamilyOfSets(self.group, frozenset(self.member_masks()))
 
 
-def shift(g: FiniteGroup, x: int, mask: int) -> int:
-    """{x*a : a in mask}."""
-    return g.shift_mask(x, mask)
-
-
 def principal_ultrafilter(g: FiniteGroup, x: int) -> MlsSignature:
     bits = 0
     for p in range(1 << (g.order - 1)):

@@ -135,10 +135,6 @@ def maximal_2cogroups(g: FiniteGroup) -> list[TwoCogroup]:
     return g._cache("maximal_2cogroups", build)
 
 
-def conjugate_cogroup(k: TwoCogroup, x: int) -> int:
-    return k.group.conj_mask(x, k.members)
-
-
 def cogroup_orbits(g: FiniteGroup) -> list[CogroupOrbit]:
     """Conjugation orbits of the maximal 2-cogroups, smallest mask first."""
     def build():
@@ -151,11 +147,6 @@ def cogroup_orbits(g: FiniteGroup) -> list[CogroupOrbit]:
         return out
 
     return g._cache("cogroup_orbits", build)
-
-
-def canonical_selector(g: FiniteGroup) -> list[TwoCogroup]:
-    """One maximal 2-cogroup per conjugacy orbit: the smallest-mask member."""
-    return [o.representative for o in cogroup_orbits(g)]
 
 
 # -- characteristic groups ----------------------------------------------------------
@@ -224,7 +215,6 @@ def tag_str(tag: tuple[str, int]) -> str:
 class TkData:
     """T_K with its free characteristic-group act structure."""
 
-    cogroup: TwoCogroup
     twin_masks: tuple[int, ...] = ()
     orbits: tuple[tuple[int, ...], ...] = ()
 
@@ -271,7 +261,7 @@ def twin_sets_for(k: TwoCogroup) -> TkData:
     h_order = k.stab.bit_count() // k.kk.bit_count()
     if any(len(o) != h_order for o in twin_orbits):
         raise InvariantError("the characteristic-group act is not free")
-    return TkData(cogroup=k, twin_masks=twins, orbits=twin_orbits)
+    return TkData(twin_masks=twins, orbits=twin_orbits)
 
 
 def q_counts(g: FiniteGroup) -> dict[tuple[str, int], int]:
@@ -304,7 +294,9 @@ def is_trivially_twinic(g: FiniteGroup) -> TwinicResult:
     In a finite group the subsemigroup a set generates is the subgroup it
     generates (each element's powers reach its inverse and the identity),
     so one subgroup closure decides each pair.  On failure the first
-    witness pair (a, b) in row-major order is returned.
+    witness pair (a, b) in row-major order would be returned, but in a group
+    none fails: b^-1 a^-1 = (ab)^-1 is a generator, and a subgroup holds the
+    inverse of each of its elements, so ab always lies in the closure.
     """
     t, inv = g.table, g.inv
     for a in range(g.order):

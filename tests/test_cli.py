@@ -14,7 +14,7 @@ from superext.cli import (
     main,
     parse_spec,
 )
-from superext.engine import StructureReport, analyze_structural
+from superext.engine import analyze_structural
 from superext.groups import group_isomorphic, make_generalized_quaternion, to_cayley_document
 from superext.setfam import read_mls_stream
 
@@ -84,8 +84,7 @@ def test_analyze_c3_trivial(capsys):
 def test_analyze_json_round_trip(capsys):
     code, out, _ = run_cli(capsys, "analyze", "C8", "--json")
     assert code == EXIT_OK
-    report = StructureReport.from_json(json.loads(out))
-    assert report == analyze_structural(parse_spec("C8"), "C8")
+    assert json.loads(out) == analyze_structural(parse_spec("C8"), "C8").to_json()
 
 
 def test_analyze_rejects_bad_spec(capsys):
@@ -94,8 +93,16 @@ def test_analyze_rejects_bad_spec(capsys):
 
 
 def test_analyze_rejects_order_above_pipeline_cap(capsys):
-    code, _, err = run_cli(capsys, "analyze", "C2xC2xC8")
-    assert code == EXIT_INPUT
+    for route in ((), ("--brute",)):
+        code, _, err = run_cli(capsys, "analyze", "C2xC2xC8", *route)
+        assert code == EXIT_INPUT and "capped at order 16" in err, route
+
+
+def test_analyze_names_the_token_a_constructor_refuses(capsys):
+    for spec, reason in (("D3", "dihedral order"), ("C65", "exceeds cap 64")):
+        code, out, err = run_cli(capsys, "analyze", spec)
+        assert code == EXIT_INPUT and out == "", spec
+        assert reason in err and f"token {spec!r} at position 0" in err, spec
 
 
 def test_analyze_brute_over_budget(capsys):

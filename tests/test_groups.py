@@ -11,11 +11,13 @@ from superext.groups import (
     INFINITY,
     all_subgroups,
     closure,
+    cogroup_masks,
     direct_product,
     fg_abelian_q,
     from_cayley_document,
     group_isomorphic,
     hom_count_to_cyclic2,
+    invariant_factors,
     is_normal_mask,
     is_subgroup_mask,
     make_alternating4,
@@ -24,6 +26,7 @@ from superext.groups import (
     make_generalized_quaternion,
     mask_elements,
     mask_from_elements,
+    maximal_cogroup_masks,
     odd_subgroup,
     quotient,
     subgroup_closure,
@@ -233,7 +236,7 @@ SUBGROUP_COUNTS = {
 
 @pytest.mark.parametrize("spec", catalog_specs())
 def test_subgroups_complete_for_every_catalog_group(spec):
-    # independent oracle: filter every subset holding the identity for the subgroup axioms
+    # independent oracle: filter every subset holding the identity for closure under the product
     g = parse_spec(spec)
     subs = all_subgroups(g)
     expected = {m for m in range(1, 1 << g.order, 2) if is_subgroup_mask(g, m)}
@@ -244,6 +247,14 @@ def test_subgroups_complete_for_every_catalog_group(spec):
         assert len(subs) == sum(g.order % d == 0 for d in range(1, g.order + 1))
     elif spec in SUBGROUP_COUNTS:
         assert len(subs) == SUBGROUP_COUNTS[spec]
+
+
+def test_maximal_cogroups_match_the_all_pairs_definition():
+    for spec in catalog_specs():
+        g = parse_spec(spec)
+        ks = cogroup_masks(g)
+        expected = [t for t in ks if not any(o[0] != t[0] and o[0] & t[0] == t[0] for o in ks)]
+        assert maximal_cogroup_masks(g) == expected, spec
 
 
 def _two_sided_closure(table, mask):
@@ -323,6 +334,18 @@ def test_hom_counts_c2_c4():
 def test_hom_count_trivial_target():
     for spec in ("C6", "D8", "A4", "Q8"):
         assert hom_count_to_cyclic2(parse_spec(spec), 0) == 1
+
+
+def test_exponents_out_of_range_are_rejected():
+    with pytest.raises(ValueError, match="exponent out of range"):
+        hom_count_to_cyclic2(make_cyclic(2), -1)
+    with pytest.raises(ValueError, match="positive integer"):
+        fg_abelian_q(FgAbelianPresentation(0, (2,)), 0)
+
+
+def test_invariant_factors_reject_a_nonabelian_group():
+    with pytest.raises(ValueError, match="abelian groups only"):
+        invariant_factors(parse_spec("D6"))
 
 
 def test_hom_count_duality_oracle():
@@ -508,14 +531,12 @@ def test_latin_square_witness_is_the_first_column():
 
 
 def test_shift_mask_above_the_shift_table_order():
+    # shifts read the order <= 16 shift tables, so above that order they refuse
     g = make_cyclic(32)
     evens = sum(1 << i for i in range(0, 32, 2))
-    odds = evens << 1
-    assert g.shift_mask(1, evens) == odds and g.shift_mask(2, evens) == evens
-    assert g.shift_mask(3, 0b101) == 0b101000
-    assert fix_operators(g, evens) == (evens, odds, g.full_mask())
-    with pytest.raises(ValueError):
-        g.shift_row(1)
+    for call in (lambda: g.shift_row(1), lambda: g.shift_mask(1, evens), lambda: fix_operators(g, evens)):
+        with pytest.raises(ValueError, match="order <= 16"):
+            call()
 
 
 def test_parse_cache_returns_the_same_group():

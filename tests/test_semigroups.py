@@ -18,7 +18,6 @@ from superext.semigroups import (
     end_tk,
     end_tk_min_ideal_expected,
     expected_unit_group_size,
-    group_as_semigroup,
     idempotent_image_orbits,
     idempotents,
     left_ideal,
@@ -178,7 +177,7 @@ def test_rees_on_structural_a4_reference_model():
 
 
 def test_rees_group_alone():
-    sem = group_as_semigroup(make_cyclic(6))
+    sem = FiniteSemigroup.from_table(make_cyclic(6).table)
     rees = rees_decompose(sem, frozenset(range(6)))
     assert rees.left_zero_count == 1 and group_isomorphic(rees.group, make_cyclic(6))
 
@@ -257,7 +256,7 @@ def test_end_tk_single_orbit_is_group():
     sem, tk = end_tk(k)
     assert tk.orbit_count == 1
     h, _ = characteristic_group(k)
-    assert semigroup_isomorphic(sem, group_as_semigroup(h)) is True
+    assert semigroup_isomorphic(sem, FiniteSemigroup.from_table(h.table)) is True
 
 
 def test_end_tk_unit_groups_are_wreath_sized():
@@ -277,7 +276,7 @@ def test_end_tk_unit_groups_are_wreath_sized():
 def test_wreath_with_singleton_is_the_group():
     h = make_cyclic(4)
     sem = wreath_product(h, 1)
-    assert semigroup_isomorphic(sem, group_as_semigroup(h)) is True
+    assert semigroup_isomorphic(sem, FiniteSemigroup.from_table(h.table)) is True
 
 
 def test_wreath_size():
@@ -315,8 +314,8 @@ def test_iso_reflexive():
 
 
 def test_iso_distinguishes_groups():
-    a = group_as_semigroup(direct_product(make_cyclic(2), make_cyclic(4)))
-    b = group_as_semigroup(make_cyclic(8))
+    a = FiniteSemigroup.from_table(direct_product(make_cyclic(2), make_cyclic(4)).table)
+    b = FiniteSemigroup.from_table(make_cyclic(8).table)
     assert semigroup_isomorphic(a, b) is False
 
 
@@ -324,24 +323,25 @@ def test_iso_lambda_c4_ideal():
     g = make_cyclic(4)
     sem = lambda_semigroup(g)
     ideal = minimal_left_ideal(sem)
-    model = group_as_semigroup(direct_product(make_cyclic(2), make_cyclic(4)))
+    model = FiniteSemigroup.from_table(direct_product(make_cyclic(2), make_cyclic(4)).table)
     assert semigroup_isomorphic(sub_semigroup(sem, ideal), model) is True
 
 
 def test_iso_budget_indeterminate():
-    a = group_as_semigroup(make_cyclic(16))
-    b = group_as_semigroup(make_cyclic(16))
+    a = FiniteSemigroup.from_table(make_cyclic(16).table)
+    b = FiniteSemigroup.from_table(make_cyclic(16).table)
     assert semigroup_isomorphic(a, b, budget=3) is None
 
 
 def test_iso_left_zero_counts():
     assert semigroup_isomorphic(left_zero_semigroup(3), left_zero_semigroup(3)) is True
-    assert semigroup_isomorphic(left_zero_semigroup(3), group_as_semigroup(make_cyclic(3))) is False
+    assert semigroup_isomorphic(left_zero_semigroup(3), FiniteSemigroup.from_table(make_cyclic(3).table)) is False
 
 
 def test_iso_size_mismatch():
     assert semigroup_isomorphic(left_zero_semigroup(2), left_zero_semigroup(3)) is False
-    assert semigroup_isomorphic(group_as_semigroup(make_cyclic(4)), group_as_semigroup(make_cyclic(2))) is False
+    c4, c2 = (FiniteSemigroup.from_table(make_cyclic(n).table) for n in (4, 2))
+    assert semigroup_isomorphic(c4, c2) is False
 
 
 # -- associativity validation ----------------------------------------------------------------------

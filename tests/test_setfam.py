@@ -23,7 +23,6 @@ from superext.setfam import (
     phi_map,
     principal_ultrafilter,
     read_mls_stream,
-    shift,
     write_mls_stream,
     EquivarianceError,
 )
@@ -53,18 +52,18 @@ def majority_c3():
 def test_shift_by_identity():
     g = make_cyclic(4)
     for a in range(16):
-        assert shift(g, 0, a) == a
+        assert g.shift_mask(0, a) == a
 
 
 def test_shift_modular():
     g = make_cyclic(4)
-    assert shift(g, 2, 0b0011) == 0b1100
+    assert g.shift_mask(2, 0b0011) == 0b1100
 
 
 def test_shift_full_set():
     g = parse_spec("D6")
     for x in range(6):
-        assert shift(g, x, g.full_mask()) == g.full_mask()
+        assert g.shift_mask(x, g.full_mask()) == g.full_mask()
 
 
 # -- linkedness ------------------------------------------------------------------------
@@ -80,6 +79,14 @@ def test_majority_family_is_maximal_linked():
 def test_complement_pair_not_linked():
     g = make_cyclic(4)
     assert not is_linked(FamilyOfSets(g, frozenset({0b0011, 0b1100})))
+
+
+def test_signature_refuses_a_linked_family_that_is_not_maximal():
+    g = make_cyclic(3)
+    fam = FamilyOfSets(g, frozenset({g.full_mask()}))
+    assert is_linked(fam)
+    with pytest.raises(ValueError, match="not maximal linked"):
+        family_to_signature(fam)
 
 
 def test_principal_ultrafilter_is_maximal_linked():
@@ -131,6 +138,11 @@ def test_enumeration_refuses_large_orders():
         enumerate_mls(parse_spec("C7"))  # needs an explicit budget
     with pytest.raises(ValueError):
         enumerate_mls(parse_spec("C8"), budget=10)
+
+
+def test_enumeration_refuses_an_unknown_order():
+    with pytest.raises(ValueError, match="unknown enumeration order"):
+        enumerate_mls(make_cyclic(3), order="bogus")
 
 
 def test_enumeration_order_seven_behind_budget():
@@ -212,6 +224,11 @@ def test_circ_family_path_matches_signature_path():
         assert fam.members == circ(a, b).to_family().members
 
 
+def test_circ_refuses_operands_over_different_groups():
+    with pytest.raises(ValueError, match="different groups"):
+        circ(enumerate_mls(make_cyclic(2))[0], enumerate_mls(make_cyclic(3))[0])
+
+
 # -- the function representation --------------------------------------------------------------
 
 
@@ -239,7 +256,7 @@ def test_phi_equivariance():
         for a in range(16):
             fa = phi(sig, a)
             for x in range(4):
-                assert phi(sig, shift(g, x, a)) == shift(g, x, fa)
+                assert phi(sig, g.shift_mask(x, a)) == g.shift_mask(x, fa)
 
 
 def test_phi_homomorphism_exhaustive_small():
@@ -331,7 +348,7 @@ def test_phi_inverse_equivariance_gate():
     with pytest.raises(EquivarianceError) as exc:
         phi_inverse(tuple(0b0011 for _ in range(16)), g)
     x, a = exc.value.witness
-    assert shift(g, x, 0b0011) != 0b0011
+    assert g.shift_mask(x, 0b0011) != 0b0011
 
 
 # -- stream format -----------------------------------------------------------------------------
@@ -366,6 +383,15 @@ def test_stream_rejects_a_header_without_pairs():
 def test_stream_rejects_a_line_that_is_not_hexadecimal():
     with pytest.raises(ValueError, match="line 2"):
         read_mls_stream(io.StringIO("n=2 pairs=2\nzz\n"))
+
+
+def test_stream_rejects_a_pair_count_that_disagrees_with_the_order():
+    with pytest.raises(ValueError, match="line 1: pair count"):
+        read_mls_stream(io.StringIO("n=3 pairs=2\n"))
+
+
+def test_stream_skips_blank_lines():
+    assert read_mls_stream(io.StringIO("n=2 pairs=2\n2\n\n2\n")) == (2, [2, 2])
 
 
 def test_stream_round_trip_c5_d6():

@@ -19,7 +19,6 @@ from superext.groups import (
 from superext import twin
 from superext.twin import (
     ClassificationError,
-    canonical_selector,
     characteristic_group,
     classify_unique_involution_2group,
     cogroup_orbits,
@@ -221,8 +220,8 @@ def test_orbits_d8():
 def test_selector_smallest_masks():
     for spec in CATALOG_16:
         g = parse_spec(spec)
-        for orbit, rep in zip(cogroup_orbits(g), canonical_selector(g)):
-            assert rep.members == min(k.members for k in orbit.members)
+        for orbit in cogroup_orbits(g):
+            assert orbit.representative.members == min(k.members for k in orbit.members)
 
 
 # -- characteristic groups ----------------------------------------------------------------------
@@ -320,7 +319,7 @@ def test_twin_sets_rejects_non_maximal():
 def test_selector_families_pairwise_disjoint():
     for spec in CATALOG_8:
         g = parse_spec(spec)
-        families = [frozenset(twin_sets_for(k).twin_masks) for k in canonical_selector(g)]
+        families = [frozenset(twin_sets_for(o.representative).twin_masks) for o in cogroup_orbits(g)]
         for i, a in enumerate(families):
             for b in families[i + 1 :]:
                 assert a != b and not (a & b)

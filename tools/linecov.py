@@ -1,4 +1,5 @@
 # linecov.py: lines of src/superext that no test runs (stdlib only).
+# Run from the repository root (about 5 min under tracing; tests/ only, as collecting perfbench/ needs BENCHMARK.json): PYTHONPATH=src:tools python -m pytest tests -q -p linecov
 import os, sys, threading
 SRC = os.path.abspath("src/superext") + os.sep
 hit = {}
