@@ -140,14 +140,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--json", action="store_true")
     p_an.add_argument("--budget", type=_budget, default=None, help="enumeration budget (systems)")
     p_an.add_argument("--seed", type=int, default=0, help="seed for sampled invariant checks")
+    p_an.set_defaults(run=lambda a: cmd_analyze(a.spec, a.brute, a.json, a.budget, a.seed))
 
     p_tab = sub.add_parser("table", help="reproduce the reference table of small groups")
     p_tab.add_argument("--json", action="store_true")
+    p_tab.set_defaults(run=lambda a: cmd_table(a.json))
 
     p_mls = sub.add_parser("mls-count", help="count maximal linked systems")
     p_mls.add_argument("spec", help=GRAMMAR)
     p_mls.add_argument("--out", default=None, help="write the signature stream to this file")
     p_mls.add_argument("--budget", type=_budget, default=None)
+    p_mls.set_defaults(run=lambda a: cmd_mls_count(a.spec, a.out, a.budget))
 
     return parser
 
@@ -155,13 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "analyze":
-            return cmd_analyze(args.spec, args.brute, args.json, args.budget, args.seed)
-        if args.command == "table":
-            return cmd_table(args.json)
-        if args.command == "mls-count":
-            return cmd_mls_count(args.spec, args.out, args.budget)
-        raise AssertionError("unreachable")
+        return args.run(args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -169,8 +166,8 @@ def main(argv=None) -> int:
         # SpecError, GroupValidationError and JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (AssertionError, RuntimeError) as exc:
-        # an internal invariant failed: same class as a cross-check disagreement
+    except RuntimeError as exc:
+        # InvariantError: an internal check failed, same class as a cross-check disagreement
         print(f"invariant failure: {exc}", file=sys.stderr)
         return EXIT_DISAGREE
 

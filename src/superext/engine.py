@@ -198,7 +198,7 @@ def analyze_brute(g: FiniteGroup, name: str = "?", budget: int | None = None) ->
     sem, ideal, rees = _brute_parts(g, budget)
     count = rees.left_zero_count
     if count & (count - 1):
-        raise RuntimeError("idempotent count of a minimal left ideal is not a power of two")
+        raise InvariantError("idempotent count of a minimal left ideal is not a power of two")
     m = count.bit_length() - 1
     q = decompose_cq_type(rees.group)
     return StructureReport(
@@ -211,23 +211,11 @@ def analyze_brute(g: FiniteGroup, name: str = "?", budget: int | None = None) ->
 
 
 def build_type_semigroup(m: int, q: dict[Tag, int]) -> FiniteSemigroup:
-    """(left zeros of size 2^m) x (product of the C/Q factors), explicitly."""
+    """(left zeros of size 2^m) x (product of the C/Q factors), explicitly:
+    element z*|H| + h is the pair (z, h)."""
     h = make_cq_product(q)
-    z = 1 << m
-    size = z * h.order
-    elements = [(a, b) for a in range(z) for b in range(h.order)]
-    index = {e: i for i, e in enumerate(elements)}
-
-    def mult(i, j):
-        (za, ha), (_, hb) = elements[i], elements[j]
-        return index[(za, h.table[ha][hb])]
-
-    return FiniteSemigroup(size, mult, labels=elements)
-
-
-def sub_semigroup(sem: FiniteSemigroup, elems) -> FiniteSemigroup:
-    order = sorted(elems)
-    return FiniteSemigroup.from_table(subtable(sem.mul, order), labels=order)
+    n, t = h.order, h.table
+    return FiniteSemigroup((1 << m) * n, lambda i, j: i - i % n + t[i % n][j % n])
 
 
 @dataclass(frozen=True)
@@ -243,7 +231,7 @@ def cross_check(g: FiniteGroup, name: str = "?", budget: int | None = None) -> C
     structural = analyze_structural(g, name)
     brute = analyze_brute(g, name, budget=budget)
     sem, ideal, _ = _brute_parts(g, budget)
-    brute_ideal = sub_semigroup(sem, ideal)
+    brute_ideal = FiniteSemigroup.from_table(subtable(sem.mul, sorted(ideal)))
     model = build_type_semigroup(structural.left_zero_exponent, structural.q_dict())
     iso = semigroup_isomorphic(brute_ideal, model)
     types_equal = (
@@ -362,16 +350,16 @@ def build_projection_idempotent(g: FiniteGroup) -> MlsSignature:
     half = 1 << (n - 1)
     sig = MlsSignature(g, sum(1 << p for p in range(half) if e_map[p] & 1))
     if phi_table(sig) != tuple(e_map):
-        raise RuntimeError("constructed projection is not Phi of its own family")
+        raise InvariantError("constructed projection is not Phi of its own family")
     # monotone on covering pairs is monotone; with the equality above, the
     # representation theorem makes sig maximal linked
     for a in range(full + 1):
         for x in mask_elements(full ^ a):
             b = a | 1 << x
             if e_map[a] & ~e_map[b]:
-                raise RuntimeError(f"projection not monotone at {a} <= {b}")
+                raise InvariantError(f"projection not monotone at {a} <= {b}")
     if circ(sig, sig).bits != sig.bits:
-        raise RuntimeError("constructed projection is not idempotent")
+        raise InvariantError("constructed projection is not idempotent")
     return sig
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations, product, repeat
 from math import gcd
 from operator import itemgetter
@@ -70,15 +71,10 @@ class FiniteGroup:
         ident = tuple(range(n))
         if t[0] != ident or columns[0] != ident:
             raise GroupValidationError("identity", "index 0 is not a two-sided identity")
-        # (i*j)*k = i*(j*k) for every k iff row t[i*j] is row t[i] gathered at
-        # row t[j], and gathers[i](t) lists the rows t[i*j] for every j
-        gathers = [gather(row) for row in t]
-        for i, ti in enumerate(t):
-            left = list(gathers[i](t))
-            if left != [g(ti) for g in gathers]:
-                j = next(j for j in range(n) if left[j] != gathers[j](ti))
-                k = next(k for k in range(n) if t[ti[j]][k] != ti[t[j][k]])
-                raise GroupValidationError("associativity", f"({i}*{j})*{k} != {i}*({j}*{k})", witness=(i, j, k))
+        witness = associativity_witness(t)
+        if witness is not None:
+            i, j, k = witness
+            raise GroupValidationError("associativity", f"({i}*{j})*{k} != {i}*({j}*{k})", witness=witness)
 
     # -- basic arithmetic ---------------------------------------------------
 
@@ -205,6 +201,25 @@ def subtable(mul, elems) -> list[list[int]]:
     elems = list(elems)
     pos = {e: i for i, e in enumerate(elems)}
     return [[pos[mul(a, b)] for b in elems] for a in elems]
+
+
+def associativity_witness(table) -> tuple[int, int, int] | None:
+    """The lexicographically first (i, j, k) with (i*j)*k != i*(j*k), or None.
+
+    (i*j)*k = i*(j*k) for every k iff row t[i*j] is row t[i] gathered at
+    row t[j], and gathers[i](t) lists the rows t[i*j] for every j.  Rows
+    are compared as tuples, which the gathers return.
+    """
+    t = tuple(map(tuple, table))
+    n = len(t)
+    gathers = [gather(row) for row in t]
+    for i, ti in enumerate(t):
+        left = list(gathers[i](t))
+        if left != [g(ti) for g in gathers]:
+            j = next(j for j in range(n) if left[j] != gathers[j](ti))
+            k = next(k for k in range(n) if t[ti[j]][k] != ti[t[j][k]])
+            return i, j, k
+    return None
 
 
 # -- constructors ---------------------------------------------------------------
@@ -369,7 +384,11 @@ def subgroup_closure(g: FiniteGroup, mask: int) -> int:
 
 def is_subgroup_mask(g: FiniteGroup, mask: int) -> bool:
     """In a finite group a product-closed set holding the identity is a subgroup."""
-    return bool(mask & 1) and closure(g.table, mask) == mask
+    if not mask & 1:
+        return False
+    elems = list(mask_elements(mask))
+    row_at, members = gather(elems), set(elems)
+    return all(members.issuperset(row_at(g.table[a])) for a in elems)
 
 
 def is_normal_mask(g: FiniteGroup, mask: int) -> bool:
@@ -688,8 +707,6 @@ class SpecError(ValueError):
 
 
 _ATOM_RE = re.compile(r"([CDQ])(\d+)$")
-_PARSE_CACHE_SIZE = 64  # above the 32 catalog specs: `table` builds each group once
-_parse_cache: dict[str, FiniteGroup] = {}  # least recently used first
 
 
 def _make_atom(token: str, position: int) -> FiniteGroup:
@@ -719,14 +736,14 @@ def parse_spec(text: str) -> FiniteGroup:
     """
     if text.startswith("file:"):
         return from_cayley_file(text[5:])
-    cached = _parse_cache.pop(text, None)
-    if cached is not None:
-        _parse_cache[text] = cached
-        return cached
-    tokens = text.split("x")
+    return _parse_named(text)
+
+
+@lru_cache(maxsize=64)  # above the 32 catalog specs: `table` builds each group once
+def _parse_named(text: str) -> FiniteGroup:
     position = 0
     group = None
-    for tok in tokens:
+    for tok in text.split("x"):
         if not tok:
             raise SpecError(f"empty token at position {position}", position)
         atom = _make_atom(tok, position)
@@ -735,9 +752,6 @@ def parse_spec(text: str) -> FiniteGroup:
         except ValueError as exc:
             raise SpecError(f"{exc} while building {text!r}", position) from exc
         position += len(tok) + 1
-    _parse_cache[text] = group
-    if len(_parse_cache) > _PARSE_CACHE_SIZE:
-        del _parse_cache[next(iter(_parse_cache))]
     return group
 
 

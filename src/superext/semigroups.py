@@ -13,6 +13,7 @@ from .groups import (
     FiniteGroup,
     InvariantError,
     SearchBudgetExceeded,
+    associativity_witness,
     find_isomorphism,
     greedy_generators,
     mask_elements,
@@ -21,44 +22,36 @@ from .groups import (
 )
 from .twin import TkData, TwoCogroup, twin_sets_for
 
-MATERIALIZE_MAX = 512
 _EXHAUSTIVE_ASSOC_MAX = 64
 _END_TK_MAX = 4096
 _WREATH_MAX = 10**6
 
 
 class FiniteSemigroup:
-    """Carrier 0..size-1 with a total product; table built iff size <= MATERIALIZE_MAX."""
+    """Carrier 0..size-1 with the product mul(i, j), computed on demand."""
 
-    def __init__(self, size: int, mult, labels=None):
+    def __init__(self, size: int, mul, labels=None):
         self.size = size
+        self.mul = mul
         self.labels = labels
-        self._mult = mult
-        self.table = None
-        if size <= MATERIALIZE_MAX:
-            self.table = [[mult(i, j) for j in range(size)] for i in range(size)]
 
     @classmethod
     def from_table(cls, table, labels=None):
         return cls(len(table), lambda i, j: table[i][j], labels=labels)
 
-    def mul(self, i: int, j: int) -> int:
-        if self.table is not None:
-            return self.table[i][j]
-        return self._mult(i, j)
-
 
 def validate_associativity(s: FiniteSemigroup, samples: int = 100_000, seed: int = 0) -> None:
     """Exhaustive for small carriers, seeded random triples otherwise."""
     n = s.size
-    if n**3 <= _EXHAUSTIVE_ASSOC_MAX**3:
-        triples = iter_product(range(n), repeat=3)
+    if n <= _EXHAUSTIVE_ASSOC_MAX:
+        witness = associativity_witness(subtable(s.mul, range(n)))
     else:
         rng = random.Random(seed)
         triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(samples))
-    for a, b, c in triples:
-        if s.mul(s.mul(a, b), c) != s.mul(a, s.mul(b, c)):
-            raise AssertionError(f"associativity fails at ({a},{b},{c})")
+        fails = ((a, b, c) for a, b, c in triples if s.mul(s.mul(a, b), c) != s.mul(a, s.mul(b, c)))
+        witness = next(fails, None)
+    if witness is not None:
+        raise InvariantError("associativity fails at ({},{},{})".format(*witness))
 
 
 # -- ideals -----------------------------------------------------------------------
@@ -67,7 +60,7 @@ def validate_associativity(s: FiniteSemigroup, samples: int = 100_000, seed: int
 def idempotents(s: FiniteSemigroup) -> list[int]:
     out = [i for i in range(s.size) if s.mul(i, i) == i]
     if not out:
-        raise RuntimeError("finite semigroup with no idempotent: broken multiplication")
+        raise InvariantError("finite semigroup with no idempotent: broken multiplication")
     return out
 
 
@@ -134,9 +127,7 @@ def maximal_subgroup(s: FiniteSemigroup, e: int) -> tuple[FiniteGroup, list[int]
 class ReesDecomposition:
     left_zero_count: int
     group: FiniteGroup = field(compare=False)
-    group_elements: tuple[int, ...] = ()
     idempotent_elements: tuple[int, ...] = ()
-    pairing: tuple[tuple[int, ...], ...] = ()  # pairing[z][h] = z*h, a bijection onto L
 
 
 def rees_decompose(s: FiniteSemigroup, ideal: frozenset[int]) -> ReesDecomposition:
@@ -146,30 +137,18 @@ def rees_decompose(s: FiniteSemigroup, ideal: frozenset[int]) -> ReesDecompositi
             raise ValueError("input is not a minimal left ideal")
     idems = sorted(x for x in ideal if s.mul(x, x) == x)
     if not idems:
-        raise RuntimeError("minimal left ideal without idempotents: broken multiplication")
+        raise InvariantError("minimal left ideal without idempotents: broken multiplication")
     for a in idems:
         for b in idems:
             if s.mul(a, b) != a:
-                raise RuntimeError("idempotents of a minimal left ideal must be left zeros")
-    e = idems[0]
-    hgroup, helems = maximal_subgroup(s, e)
+                raise InvariantError("idempotents of a minimal left ideal must be left zeros")
+    hgroup, helems = maximal_subgroup(s, idems[0])
     if len(idems) * len(helems) != len(ideal):
-        raise RuntimeError("Rees size bookkeeping failed")
-    pairing = []
-    seen = set()
-    for z in idems:
-        row = tuple(s.mul(z, h) for h in helems)
-        pairing.append(row)
-        seen.update(row)
-    if seen != set(ideal):
-        raise RuntimeError("Rees pairing is not a bijection onto the ideal")
-    return ReesDecomposition(
-        left_zero_count=len(idems),
-        group=hgroup,
-        group_elements=tuple(helems),
-        idempotent_elements=tuple(idems),
-        pairing=tuple(pairing),
-    )
+        raise InvariantError("Rees size bookkeeping failed")
+    # with the sizes equal, z*h covering the ideal makes (z, h) -> z*h a bijection
+    if {s.mul(z, h) for z in idems for h in helems} != ideal:
+        raise InvariantError("the Rees products z*h are not a bijection onto the ideal")
+    return ReesDecomposition(left_zero_count=len(idems), group=hgroup, idempotent_elements=tuple(idems))
 
 
 # -- endomorphism monoid of the twin-set act -------------------------------------------
@@ -211,13 +190,7 @@ def end_tk(k: TwoCogroup) -> tuple[FiniteSemigroup, TkData]:
 
 def end_tk_min_ideal_expected(sem: FiniteSemigroup, tk: TkData) -> frozenset[int]:
     """{f : image of f lies in a single orbit}, straight from the definition."""
-    out = []
-    for i in range(sem.size):
-        f = sem.labels[i]
-        hit = {tk.orbit_of(tk.twin_masks[v]) for v in f}
-        if len(hit) == 1:
-            out.append(i)
-    return frozenset(out)
+    return frozenset(i for i in range(sem.size) if idempotent_image_orbits(sem, tk, i) == 1)
 
 
 def idempotent_image_orbits(sem: FiniteSemigroup, tk: TkData, i: int) -> int:
@@ -284,7 +257,7 @@ def semigroup_isomorphic(
 
     find_isomorphism over generator images keyed by element invariants.
     """
-    t1, t2 = (s.table if s.table is not None else subtable(s.mul, range(s.size)) for s in (s1, s2))
+    t1, t2 = (subtable(s.mul, range(s.size)) for s in (s1, s2))
     gens = greedy_generators(t1, range(s1.size))
     keys1, keys2 = (_element_invariants(s) for s in (s1, s2))
     try:

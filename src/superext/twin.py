@@ -152,10 +152,6 @@ def cogroup_orbits(g: FiniteGroup) -> list[CogroupOrbit]:
 # -- characteristic groups ----------------------------------------------------------
 
 
-class ClassificationError(RuntimeError):
-    """A characteristic group failed the cyclic-or-quaternion shape guarantee."""
-
-
 def cq_factors(h: FiniteGroup) -> dict[Tag, int]:
     """The C_{2^k} and Q_{2^k} factors of a 2-group, read off its invariants.
 
@@ -182,16 +178,17 @@ def cq_factors(h: FiniteGroup) -> dict[Tag, int]:
         if min(tags.values()) >= 0 and sum(k * c for (_, k), c in tags.items()) == n.bit_length() - 1:
             if group_isomorphic(h, make_cq_product(tags)):
                 return dict(+tags)  # without a zero C2 count
-    raise RuntimeError("no cyclic/quaternion factorization found")
+    raise InvariantError("no cyclic/quaternion factorization found")
 
 
 def classify_unique_involution_2group(h: FiniteGroup) -> Tag:
-    """("C", k) or ("Q", k) for a 2-group with a unique involution; raises otherwise."""
-    n = h.order
-    if n & (n - 1):
-        raise ClassificationError(f"order {n} is not a power of two")
-    if n > 1 and sum(1 for o in h.element_orders if o == 2) != 1:
-        raise ClassificationError("group does not have a unique involution")
+    """("C", k) or ("Q", k) for a 2-group with a unique involution.
+
+    InvariantError without a unique involution; cq_factors raises ValueError
+    for an order that is not a power of two.
+    """
+    if h.order > 1 and h.element_orders.count(2) != 1:
+        raise InvariantError("group does not have a unique involution")
     return next(iter(cq_factors(h)), ("C", 0))  # the trivial group is C1
 
 
@@ -251,7 +248,7 @@ def twin_sets_for(k: TwoCogroup) -> TkData:
         built.add(mask)
     scan = {a for a, fm in enumerate(fix_minus_table(g)) if fm == k.members}
     if built != scan:
-        raise AssertionError("transversal construction disagrees with the Fix- table")
+        raise InvariantError("transversal construction disagrees with the Fix- table")
     twins = tuple(sorted(built))
     if len(twins) != 1 << k.kpm_index():
         raise InvariantError(f"|T_K| = {len(twins)}, expected 2^{k.kpm_index()}")

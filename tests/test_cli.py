@@ -99,7 +99,7 @@ def test_analyze_rejects_order_above_pipeline_cap(capsys):
 
 
 def test_analyze_names_the_token_a_constructor_refuses(capsys):
-    for spec, reason in (("D3", "dihedral order"), ("C65", "exceeds cap 64")):
+    for spec, reason in (("D3", "dihedral order"), ("C65", "exceeds cap 64"), ("D66", "exceeds cap 64")):
         code, out, err = run_cli(capsys, "analyze", spec)
         assert code == EXIT_INPUT and out == "", spec
         assert reason in err and f"token {spec!r} at position 0" in err, spec
@@ -250,6 +250,20 @@ def test_disagreement_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(cli.engine, "cross_check", fake_cross_check)
     code, out, _ = run_cli(capsys, "analyze", "C4", "--brute")
     assert code == EXIT_DISAGREE and "verdict: disagree" in out
+
+
+def test_invariant_failure_exit_code(capsys, monkeypatch):
+    # an internal check failing is reported like a disagreement, with nothing on stdout
+    from superext import engine
+    from superext.groups import InvariantError
+
+    def broken(group, name="?"):
+        raise InvariantError("forced failure")
+
+    monkeypatch.setattr(engine, "analyze_structural", broken)
+    code, out, err = run_cli(capsys, "analyze", "C4")
+    assert code == EXIT_DISAGREE and out == ""
+    assert err == "invariant failure: forced failure\n"
 
 
 def test_brute_route_refuses_order_seven_before_enumerating(capsys, monkeypatch):

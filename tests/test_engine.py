@@ -224,6 +224,17 @@ def test_cross_check_klein():
     assert check.structural.min_left_ideal_type == "C2^3"
 
 
+def test_cross_check_reports_an_undecided_isomorphism_as_disagree(monkeypatch):
+    from superext import engine
+
+    monkeypatch.setattr(engine, "semigroup_isomorphic", lambda s1, s2: None)
+    check = cross_check(parse_spec("C4"), "C4")
+    assert check.verdict == "disagree" and check.isomorphism_certified is False
+    assert check.merged.notes == (
+        "isomorphism search hit its budget: verdict indeterminate, reported as disagree",
+    )
+
+
 # -- odd reduction ---------------------------------------------------------------------------
 
 

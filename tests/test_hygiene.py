@@ -1,6 +1,6 @@
-"""Guarantees that span modules: no bare asserts, a line budget for src/,
-no engine -> cli import, fresh file specs, and loader errors reported in
-document indices."""
+"""Guarantees that span modules: no bare asserts, one class for internal
+failures, a line budget for src/, no engine -> cli import, fresh file
+specs, and loader errors reported in document indices."""
 
 import ast
 import json
@@ -23,6 +23,17 @@ def test_no_assert_statements_in_src():
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
             if isinstance(node, ast.Assert):
+                found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert found == []
+
+
+def test_internal_failures_raise_invariant_error():
+    # one failure class for internal checks: no bare RuntimeError or AssertionError is raised
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call) and getattr(exc.func, "id", None) in ("RuntimeError", "AssertionError"):
                 found.append(f"{path.relative_to(SRC)}:{node.lineno}")
     assert found == []
 
