@@ -10,12 +10,7 @@ import argparse
 import json
 import sys
 
-from .groups import (  # SpecError, parse_spec, spec_order: also imported from here
-    GRAMMAR,
-    SpecError,
-    parse_spec,
-    spec_order,
-)
+from .groups import GRAMMAR, parse_spec
 from .setfam import BudgetExceeded, enumerate_mls, write_mls_stream
 from .semigroups import validate_associativity
 from . import engine

@@ -47,7 +47,6 @@ class FiniteGroup:
         self.table = tuple(map(tuple, table))
         self.order = len(self.table)
         self.names = tuple(names) if names is not None else None
-        self.identity = 0
         self.renumbering = None  # set by the file loader when it permutes indices
         self._validate()
         # x*y = 0 for the one y in row x (a permutation), and then

@@ -17,7 +17,6 @@ from .groups import (
     find_isomorphism,
     greedy_generators,
     mask_elements,
-    orbits,
     subtable,
 )
 from .twin import TkData, TwoCogroup, twin_sets_for
@@ -94,11 +93,6 @@ def minimal_ideal(s: FiniteSemigroup) -> frozenset[int]:
     for y in right_ideal(s, x):
         out.update(left_ideal(s, y))
     return frozenset(out)
-
-
-def minimal_left_ideals(s: FiniteSemigroup) -> list[frozenset[int]]:
-    """All minimal left ideals: the partition of the minimal ideal into the S*z."""
-    return [frozenset(o) for o in orbits(sorted(minimal_ideal(s)), lambda z: left_ideal(s, z))]
 
 
 # -- maximal subgroups and the Rees decomposition ------------------------------------
@@ -194,8 +188,8 @@ def end_tk_min_ideal_expected(sem: FiniteSemigroup, tk: TkData) -> frozenset[int
 
 
 def idempotent_image_orbits(sem: FiniteSemigroup, tk: TkData, i: int) -> int:
-    f = sem.labels[i]
-    return len({tk.orbit_of(tk.twin_masks[v]) for v in f})
+    orbit_index = {a: j for j, orb in enumerate(tk.orbits) for a in orb}
+    return len({orbit_index[tk.twin_masks[v]] for v in sem.labels[i]})
 
 
 def expected_unit_group_size(tk: TkData, image_orbits: int) -> int:

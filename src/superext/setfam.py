@@ -361,9 +361,11 @@ def read_mls_stream(fh) -> tuple[int, list[int]]:
     parts = dict(kv.partition("=")[::2] for kv in header.split())
     if not {"n", "pairs"} <= parts.keys():
         raise ValueError(f"line 1: header {header!r} lacks n= or pairs=")
+    if parts["n"] not in map(str, range(1, MAX_ENUM_ORDER_WITH_BUDGET + 1)):
+        raise ValueError(f"line 1: order {parts['n']!r} is not in 1..{MAX_ENUM_ORDER_WITH_BUDGET}")
     n = int(parts["n"])
     pairs = 1 << (n - 1)
-    if int(parts["pairs"]) != pairs:
+    if parts["pairs"] != str(pairs):
         raise ValueError("line 1: pair count does not match the order in the header")
     bits = []
     for lineno, line in enumerate(fh, start=2):

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from .groups import (
     FiniteGroup,
     InvariantError,
-    cogroup_masks,
     group_isomorphic,
     invariant_factors,
     make_cq_product,
@@ -36,12 +35,6 @@ class TwoCogroup:
     kk: int = 0               # K*K, a subgroup disjoint from K
     kpm: int = 0              # K union K*K
     stab: int = 0             # {x : x K x^-1 = K}
-    index: int = 0            # |X| / |K|
-    maximal: bool = False
-
-    @property
-    def size(self) -> int:
-        return self.members.bit_count()
 
     def kpm_index(self) -> int:
         return self.group.order // self.kpm.bit_count()
@@ -102,34 +95,11 @@ def is_pretwin(g: FiniteGroup, a: int) -> bool:
 # -- 2-cogroups ------------------------------------------------------------------
 
 
-def _make_cogroup(g: FiniteGroup, k: int, kk: int, kpm: int, maximal: bool) -> TwoCogroup:
-    stab = 0
-    for x in range(g.order):
-        if g.conj_mask(x, k) == k:
-            stab |= 1 << x
-    return TwoCogroup(
-        group=g,
-        members=k,
-        kk=kk,
-        kpm=kpm,
-        stab=stab,
-        index=g.order // k.bit_count(),
-        maximal=maximal,
-    )
-
-
-def enumerate_2cogroups(g: FiniteGroup) -> list[TwoCogroup]:
-    """All 2-cogroups, as H_pm \\ H over index-2 subgroup pairs."""
-    maximal = {trip[0] for trip in maximal_cogroup_masks(g)}
-    return [
-        _make_cogroup(g, k, kk, kpm, k in maximal) for k, kk, kpm in cogroup_masks(g)
-    ]
-
-
 def maximal_2cogroups(g: FiniteGroup) -> list[TwoCogroup]:
     def build():
         return [
-            _make_cogroup(g, k, kk, kpm, True) for k, kk, kpm in maximal_cogroup_masks(g)
+            TwoCogroup(g, k, kk, kpm, mask_from_elements(x for x in range(g.order) if g.conj_mask(x, k) == k))
+            for k, kk, kpm in maximal_cogroup_masks(g)
         ]
 
     return g._cache("maximal_2cogroups", build)
@@ -219,21 +189,14 @@ class TkData:
     def orbit_count(self) -> int:
         return len(self.orbits)
 
-    def orbit_of(self, mask: int) -> int:
-        for i, orb in enumerate(self.orbits):
-            if mask in orb:
-                return i
-        raise KeyError(mask)
-
 
 def twin_sets_for(k: TwoCogroup) -> TkData:
     """All twin sets with Fix- exactly K, plus their orbit decomposition.
 
-    Built from a transversal S of the K+- cosets as KK*E union K*(S\\E),
-    then verified against the group's Fix- table.
+    Built from a transversal S of the K+- cosets as KK*E union K*(S\\E): all a
+    with K inside Fix-(a).  The Fix- table check rejects a K that is not maximal
+    with InvariantError, since the nonempty T_K' of a maximal K' above K is built too.
     """
-    if not k.maximal:
-        raise ValueError("twin-set families are only computed for maximal 2-cogroups")
     g = k.group
     reps = [c[0] for c in orbits(range(g.order), lambda x: (g.table[h][x] for h in mask_elements(k.kpm)))]
     kk_elems = list(mask_elements(k.kk))
@@ -264,16 +227,6 @@ def twin_sets_for(k: TwoCogroup) -> TkData:
 def q_counts(g: FiniteGroup) -> dict[tuple[str, int], int]:
     """Conjugation-orbit counts of maximal 2-cogroups keyed by characteristic type."""
     return dict(Counter(orbit.characteristic_type for orbit in cogroup_orbits(g)))
-
-
-def realized_cogroups(g: FiniteGroup) -> dict[int, bool]:
-    """For each 2-cogroup mask, whether some twin set has exactly it as Fix-.
-
-    Diagnostic only; maximal 2-cogroups are always realized, smaller ones
-    need not be.
-    """
-    realized = set(fix_minus_table(g))
-    return {k: k in realized for k, _, _ in cogroup_masks(g)}
 
 
 # -- the twinic-triviality check -------------------------------------------------------

@@ -10,12 +10,11 @@ from superext.cli import (
     EXIT_DISAGREE,
     EXIT_INPUT,
     EXIT_OK,
-    SpecError,
     main,
     parse_spec,
 )
 from superext.engine import analyze_structural
-from superext.groups import group_isomorphic, make_generalized_quaternion, to_cayley_document
+from superext.groups import SpecError, group_isomorphic, make_generalized_quaternion, to_cayley_document
 from superext.setfam import read_mls_stream
 
 

@@ -19,6 +19,7 @@ from superext.engine import (
 )
 from superext.groups import (
     FgAbelianPresentation,
+    all_subgroups,
     direct_product,
     fg_abelian_q,
     hom_count_to_cyclic2,
@@ -172,6 +173,22 @@ def test_abelian_m_matches_closed_form():
         presentation = FgAbelianPresentation(0, invariant_factors(g))
         m = sum(fg_abelian_q(presentation, k) * (2 ** (k - 1) - k) for k in range(1, g.order.bit_length() + 1))
         assert analyze_structural(g, spec).left_zero_exponent == m, spec
+
+
+def test_abelian_q_counts_subgroups_with_cyclic_2_power_quotient():
+    # the abstract's statement as written: q(X, C_{2^k}) = #{H : X/H is cyclic of order 2^k},
+    # from the subgroup lattice and quotients alone, with no cogroup orbit and no hom count
+    abelian = [spec for spec in catalog_specs(16) if parse_spec(spec).is_abelian]
+    assert len(abelian) == 23
+    for spec in abelian:
+        g = parse_spec(spec)
+        expected = {}
+        for h in all_subgroups(g):
+            q, _ = quotient(g, h)
+            if q.order > 1 and q.order & (q.order - 1) == 0 and q.order in q.element_orders:
+                key = ("C", q.order.bit_length() - 1)
+                expected[key] = expected.get(key, 0) + 1
+        assert analyze_structural(g, spec).q_dict() == expected, spec
 
 
 # -- brute analysis -------------------------------------------------------------------------

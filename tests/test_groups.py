@@ -194,7 +194,7 @@ def test_document_renumbers_identity():
     # fix up to a real shifted C3 table: elements (a, e, a^2)
     table = [[2, 0, 1], [0, 1, 2], [1, 2, 0]]
     g = from_cayley_document({"order": 3, "table": table})
-    assert g.identity == 0 and g.renumbering == (1, 0, 2)
+    assert g.table[0] == (0, 1, 2) and g.renumbering == (1, 0, 2)  # index 0 is the identity
     assert group_isomorphic(g, make_cyclic(3))
 
 

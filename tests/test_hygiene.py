@@ -38,6 +38,23 @@ def test_internal_failures_raise_invariant_error():
     assert found == []
 
 
+def test_src_modules_use_every_name_they_import():
+    # a deletion that leaves its import behind fails here, not in review
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.relative_to(SRC)}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert found == []
+
+
 def test_src_stays_within_its_line_budget():
     # the ceiling that the roadmap sets for src/superext once the oracle and the full catalog land
     lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in (SRC / "superext").glob("*.py"))

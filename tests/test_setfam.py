@@ -390,6 +390,12 @@ def test_stream_rejects_a_pair_count_that_disagrees_with_the_order():
         read_mls_stream(io.StringIO("n=3 pairs=2\n"))
 
 
+@pytest.mark.parametrize("header", ["n=abc pairs=2", "n=0 pairs=1", "n=8 pairs=128", "n=2 pairs=x"])
+def test_stream_rejects_a_bad_order_or_pair_count_on_line_one(header):
+    with pytest.raises(ValueError, match="^line 1:"):
+        read_mls_stream(io.StringIO(header + "\n2\n"))
+
+
 def test_stream_skips_blank_lines():
     assert read_mls_stream(io.StringIO("n=2 pairs=2\n2\n\n2\n")) == (2, [2, 2])
 

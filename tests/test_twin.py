@@ -8,6 +8,7 @@ from superext.cli import parse_spec
 from superext.engine import catalog_specs
 from superext.groups import (
     all_subgroups,
+    cogroup_masks,
     group_isomorphic,
     is_normal_mask,
     is_subgroup_mask,
@@ -19,10 +20,10 @@ from superext.groups import (
 )
 from superext import twin
 from superext.twin import (
+    TwoCogroup,
     characteristic_group,
     classify_unique_involution_2group,
     cogroup_orbits,
-    enumerate_2cogroups,
     fix_minus_table,
     fix_operators,
     is_pretwin,
@@ -30,7 +31,6 @@ from superext.twin import (
     is_twin,
     maximal_2cogroups,
     q_counts,
-    realized_cogroups,
     tag_str,
     twin_sets_for,
 )
@@ -139,15 +139,14 @@ def test_fix_minus_conjugation_exhaustive():
 
 def test_cogroups_c4():
     g = make_cyclic(4)
-    masks = {k.members for k in enumerate_2cogroups(g)}
+    masks = {k for k, _, _ in cogroup_masks(g)}
     assert masks == {0b0100, 0b1010}
-    assert all(k.maximal for k in maximal_2cogroups(g))
     assert {k.members for k in maximal_2cogroups(g)} == masks
 
 
 def test_cogroups_q8():
     g = make_generalized_quaternion(8)
-    masks = {k.members for k in enumerate_2cogroups(g)}
+    masks = {k for k, _, _ in cogroup_masks(g)}
     minus_one = 1 << 2  # y^2 is the unique involution
     assert minus_one in masks
     full = g.full_mask()
@@ -161,36 +160,38 @@ def test_cogroups_q8():
 
 
 def test_cogroups_odd_group_empty():
-    assert enumerate_2cogroups(make_cyclic(5)) == []
+    assert cogroup_masks(make_cyclic(5)) == []
     assert maximal_2cogroups(make_cyclic(9)) == []
 
 
 def test_cogroup_invariants():
     for spec in CATALOG_16:
         g = parse_spec(spec)
-        for k in enumerate_2cogroups(g):
-            assert k.members & k.kk == 0
-            assert k.members | k.kk == k.kpm
-            assert is_subgroup_mask(g, k.kk) and is_subgroup_mask(g, k.kpm)
-            assert 2 * k.kk.bit_count() == k.kpm.bit_count()
-            for x in mask_elements(k.members):
+        for k, kk, kpm in cogroup_masks(g):
+            assert k & kk == 0
+            assert k | kk == kpm
+            assert is_subgroup_mask(g, kk) and is_subgroup_mask(g, kpm)
+            assert 2 * kk.bit_count() == kpm.bit_count()
+            for x in mask_elements(k):
                 shifted = 0
-                for z in mask_elements(k.members):
+                for z in mask_elements(k):
                     shifted |= 1 << g.table[x][z]
-                assert shifted == k.kk  # xK = KK
+                assert shifted == kk  # xK = KK
             # KK normal in Stab(K)
-            for x in mask_elements(k.stab):
+            for x in range(g.order):
+                if g.conj_mask(x, k) != k:
+                    continue
                 conj = 0
-                for z in mask_elements(k.kk):
+                for z in mask_elements(kk):
                     conj |= 1 << g.conj(x, z)
-                assert conj == k.kk
+                assert conj == kk
 
 
 def test_maximal_cogroups_a4():
     g = make_alternating4()
     maximal = maximal_2cogroups(g)
     assert len(maximal) == 3
-    assert all(k.size == 2 for k in maximal)
+    assert all(k.members.bit_count() == 2 for k in maximal)
     klein = max(s for s in all_subgroups(g) if s.bit_count() == 4 and is_normal_mask(g, s))
     for k in maximal:
         assert k.members & klein == k.members
@@ -229,7 +230,7 @@ def test_selector_smallest_masks():
 
 def test_characteristic_group_q8_bottom():
     g = make_generalized_quaternion(8)
-    k = next(k for k in maximal_2cogroups(g) if k.size == 1)
+    k = next(k for k in maximal_2cogroups(g) if k.members.bit_count() == 1)
     h, tag = characteristic_group(k)
     assert tag == ("Q", 3) and group_isomorphic(h, g)
 
@@ -274,9 +275,10 @@ def test_characteristic_group_size_divides_index():
         g = parse_spec(spec)
         for k in maximal_2cogroups(g):
             h, _ = characteristic_group(k)
-            assert k.index % h.order == 0
+            index = g.order // k.members.bit_count()
+            assert index % h.order == 0
             if k.stab == g.full_mask():  # normal cogroup
-                assert h.order == k.index
+                assert h.order == index
 
 
 # -- the twin-set act --------------------------------------------------------------------------
@@ -284,7 +286,7 @@ def test_characteristic_group_size_divides_index():
 
 def test_twin_sets_q8_bottom():
     g = make_generalized_quaternion(8)
-    k = next(k for k in maximal_2cogroups(g) if k.size == 1)
+    k = next(k for k in maximal_2cogroups(g) if k.members.bit_count() == 1)
     tk = twin_sets_for(k)
     assert len(tk.twin_masks) == 16 and tk.orbit_count == 2
     assert all(len(o) == 8 for o in tk.orbits)
@@ -309,10 +311,10 @@ def test_twin_sets_free_act_catalog():
 
 
 def test_twin_sets_rejects_non_maximal():
+    # {3} sits inside the odd coset {1, 3, 5}, the one maximal 2-cogroup of C6
     g = make_cyclic(6)
-    small = next(k for k in enumerate_2cogroups(g) if not k.maximal)
-    assert small.members == 0b001000  # {3} sits inside the odd coset
-    with pytest.raises(ValueError):
+    small = TwoCogroup(group=g, members=0b001000, kk=0b000001, kpm=0b001001, stab=g.full_mask())
+    with pytest.raises(InvariantError, match="Fix- table"):
         twin_sets_for(small)
 
 
@@ -349,20 +351,11 @@ def test_tag_rendering():
 
 
 def test_klein_singletons_unrealized():
+    # every 2-cogroup of C2xC2 is Fix- of some twin set except the three singletons
     g = parse_spec("C2xC2")
-    status = realized_cogroups(g)
-    for mask, realized in status.items():
-        if mask.bit_count() == 1:
-            assert not realized
-        else:
-            assert realized
-
-
-def test_realized_cogroups_match_the_per_mask_scan():
-    for spec in CATALOG_12:
-        g = parse_spec(spec)
-        realized = {fix_operators(g, a)[1] for a in range(g.full_mask() + 1)}
-        assert realized_cogroups(g) == {k.members: k.members in realized for k in enumerate_2cogroups(g)}, spec
+    realized = set(fix_minus_table(g))
+    for k, _, _ in cogroup_masks(g):
+        assert (k in realized) == (k.bit_count() != 1)
 
 
 # -- the Fix- table ------------------------------------------------------------------------------
