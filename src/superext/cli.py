@@ -11,7 +11,7 @@ import json
 import sys
 
 from .groups import GRAMMAR, parse_spec
-from .setfam import BudgetExceeded, enumerate_mls, write_mls_stream
+from .setfam import BudgetExceeded, count_mls, enumerate_mls, write_mls_stream
 from .semigroups import validate_associativity
 from . import engine
 
@@ -91,15 +91,14 @@ def cmd_table(as_json: bool) -> int:
 
 def cmd_mls_count(spec: str, out_path, budget) -> int:
     group = parse_spec(spec)
-    try:
-        systems = enumerate_mls(group, budget=budget)
-    except BudgetExceeded as exc:
-        print(f"count>={exc.count_so_far} partial=true")
+    count = count_mls(group, budget)
+    if budget is not None and count > budget:
+        print(f"count>={budget} partial=true")
         return EXIT_BUDGET
-    print(f"count={len(systems)} partial=false")
+    print(f"count={count} partial=false")
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            write_mls_stream(fh, group, systems)
+            write_mls_stream(fh, group, enumerate_mls(group, budget=budget))
     return EXIT_OK
 
 

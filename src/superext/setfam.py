@@ -143,6 +143,13 @@ class MlsSequence(Sequence):
         return map(MlsSignature, repeat(self.group), self.bits)
 
 
+def _check_order(n: int, budget: int | None) -> None:
+    if n > MAX_ENUM_ORDER_WITH_BUDGET:
+        raise ValueError(f"enumeration beyond order {MAX_ENUM_ORDER_WITH_BUDGET} is not supported")
+    if n > MAX_ENUM_ORDER and budget is None:
+        raise ValueError(f"order {n} enumeration requires an explicit budget")
+
+
 def enumerate_mls(g: FiniteGroup, order: str = "descending", budget: int | None = None) -> MlsSequence:
     """Every maximal linked system on g exactly once, sorted by signature.
 
@@ -169,20 +176,51 @@ def enumerate_mls(g: FiniteGroup, order: str = "descending", budget: int | None 
     a node depend on U alone.  Adding them to a node's inb keeps them in
     order, since inb has no bit in U.
 
-    Returns an MlsSequence over the cached bits.  Orders beyond 6 require
-    an explicit budget; order 8+ is refused.
+    A budget is checked up front against count_mls: BudgetExceeded(budget)
+    is raised before any search, with nothing cached.  Returns an
+    MlsSequence over the cached bits.  Orders beyond 6 require an explicit
+    budget; order 8+ is refused.
     """
-    n = g.order
-    if n > MAX_ENUM_ORDER_WITH_BUDGET:
-        raise ValueError(f"enumeration beyond order {MAX_ENUM_ORDER_WITH_BUDGET} is not supported")
-    if n > MAX_ENUM_ORDER and budget is None:
-        raise ValueError(f"order {n} enumeration requires an explicit budget")
-
-    # BudgetExceeded raised mid-stream leaves nothing cached
-    cached = g._cache(("mls_enum", order), lambda: _enumerate_bits(n, order, budget))
-    if budget is not None and len(cached) > budget:
+    _check_order(g.order, budget)
+    if budget is not None and count_mls(g, budget) > budget:
         raise BudgetExceeded(budget)
-    return MlsSequence(g, cached)
+    return MlsSequence(g, g._cache(("mls_enum", order), lambda: _enumerate_bits(g.order, order)))
+
+
+def count_mls(g: FiniteGroup, budget: int | None = None) -> int:
+    """|lambda(g)| by enumerate_mls's search without its systems: by the
+    memo lemma there, the count below a node depends on U alone, so every
+    U is memoized.  The budget only gates the order, as in enumerate_mls."""
+    _check_order(g.order, budget)
+    return g._cache("mls_count", lambda: _count_bits(g.order))
+
+
+def _search_tables(n: int, order: str):
+    """Per pair in search order: its bit, and the force tables of member p
+    and of X\\p; with the mask of every pair."""
+    half = 1 << (n - 1)
+    full = (1 << n) - 1
+    # force_in[M] / force_out[M]: the representatives t with t >= M / t & M == 0
+    force_in = [sum(1 << t for t in range(half) if t & m == m) for m in range(full + 1)]
+    force_out = [sum(1 << t for t in range(half) if not t & m) for m in range(full + 1)]
+    reps = _pair_order(n, order)
+    steps = [(force_in[p], force_out[p], force_out[p ^ full]) for p in reps]
+    return [1 << p for p in reps], steps, (1 << half) - 1
+
+
+def _count_bits(n: int) -> int:
+    bits, steps, every = _search_tables(n, "descending")
+    memo = {0: 1}
+
+    def count(i: int, u: int) -> int:  # u: the undecided pairs
+        if (c := memo.get(u)) is None:
+            while not u & bits[i]:
+                i += 1
+            p_in, p_out, comp_out = steps[i]
+            c = memo[u] = count(i + 1, u & ~comp_out) + count(i + 1, u & ~(p_in | p_out))
+        return c
+
+    return count(0, every ^ 1)  # bit 0 out, as in _enumerate_bits
 
 
 # Tails below nodes with at most this many undecided pairs are memoized.
@@ -193,19 +231,8 @@ def enumerate_mls(g: FiniteGroup, order: str = "descending", budget: int | None 
 MEMO_MAX_UNDECIDED = 8
 
 
-def _enumerate_bits(n: int, order: str, budget: int | None) -> list[int]:
-    if n == 1:
-        return [0]
-    half = 1 << (n - 1)
-    full = (1 << n) - 1
-    # force_in[M] / force_out[M]: the representatives t with t >= M / t & M == 0
-    force_in = [sum(1 << t for t in range(half) if t & m == m) for m in range(full + 1)]
-    force_out = [sum(1 << t for t in range(half) if not t & m) for m in range(full + 1)]
-    reps = _pair_order(n, order)
-    # per pair in search order: its bit, and the tables of member p and of X\p
-    bits = [1 << p for p in reps]
-    steps = [(force_in[p], force_out[p], force_out[p ^ full]) for p in reps]
-    every = (1 << half) - 1
+def _enumerate_bits(n: int, order: str) -> list[int]:
+    bits, steps, every = _search_tables(n, order)
     out: list[int] = []
     memo: dict[int, list[int]] = {}
 
@@ -215,16 +242,12 @@ def _enumerate_bits(n: int, order: str, budget: int | None) -> list[int]:
             out.append(inb)
         elif undecided.bit_count() > MEMO_MAX_UNDECIDED:
             branch(i, inb, outb, undecided)
-            return
         elif (tail := memo.get(undecided)) is not None:
             out.extend([inb | c for c in tail])
         else:
             start = len(out)
             branch(i, inb, outb, undecided)
             memo[undecided] = [x ^ inb for x in out[start:]]
-            return
-        if budget is not None and len(out) > budget:
-            raise BudgetExceeded(budget)
 
     def branch(i: int, inb: int, outb: int, undecided: int):
         while not undecided & bits[i]:  # stops: pairs before i are decided, one is not
@@ -358,9 +381,10 @@ def write_mls_stream(fh, g: FiniteGroup, sigs: MlsSequence) -> None:
 def read_mls_stream(fh) -> tuple[int, list[int]]:
     """(n, signature bits) from a stream; ValueError names the first bad line."""
     header = fh.readline().strip()
-    parts = dict(kv.partition("=")[::2] for kv in header.split())
-    if not {"n", "pairs"} <= parts.keys():
-        raise ValueError(f"line 1: header {header!r} lacks n= or pairs=")
+    tokens = [kv.partition("=") for kv in header.split()]
+    if sorted(k + eq for k, eq, _ in tokens) != ["n=", "pairs="]:
+        raise ValueError(f"line 1: header {header!r} must hold n= and pairs= once each and nothing else")
+    parts = {k: v for k, _, v in tokens}
     if parts["n"] not in map(str, range(1, MAX_ENUM_ORDER_WITH_BUDGET + 1)):
         raise ValueError(f"line 1: order {parts['n']!r} is not in 1..{MAX_ENUM_ORDER_WITH_BUDGET}")
     n = int(parts["n"])
@@ -379,5 +403,7 @@ def read_mls_stream(fh) -> tuple[int, list[int]]:
             raise ValueError(f"line {lineno}: {b:x} has bits beyond the {pairs} pairs")
         if b & 1:
             raise ValueError(f"line {lineno}: bit 0 set makes the empty set a member")
+        if bits and b <= bits[-1]:
+            raise ValueError(f"line {lineno}: {b:x} does not ascend from the line before")
         bits.append(b)
     return n, bits

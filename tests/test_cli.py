@@ -15,7 +15,7 @@ from superext.cli import (
 )
 from superext.engine import analyze_structural
 from superext.groups import SpecError, group_isomorphic, make_generalized_quaternion, to_cayley_document
-from superext.setfam import read_mls_stream
+from superext.setfam import enumerate_mls, read_mls_stream
 
 
 def run_cli(capsys, *argv):
@@ -214,6 +214,32 @@ def test_mls_count_stream(tmp_path, capsys):
     with open(out_path, "r", encoding="utf-8") as fh:
         n, bits = read_mls_stream(fh)
     assert n == 4 and len(bits) == 12 and bits == sorted(bits)
+    assert bits == [s.bits for s in enumerate_mls(parse_spec("C4"))]
+
+
+def test_mls_count_over_budget_writes_no_stream(tmp_path, capsys):
+    out_path = tmp_path / "c5.mls"
+    code, out, _ = run_cli(capsys, "mls-count", "C5", "--budget", "80", "--out", str(out_path))
+    assert code == EXIT_BUDGET and out == "count>=80 partial=true\n"
+    assert not out_path.exists()
+
+
+def test_mls_count_of_order_seven_builds_no_systems(capsys, monkeypatch):
+    from superext import setfam
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the systems were enumerated only to be counted")
+
+    monkeypatch.setattr(setfam, "_enumerate_bits", refuse)
+    code, out, _ = run_cli(capsys, "mls-count", "C7", "--budget", "2000000")
+    assert code == EXIT_OK and out == "count=1422564 partial=false\n"
+
+
+def test_mls_count_order_seven_budget_edge(capsys):
+    code, out, _ = run_cli(capsys, "mls-count", "C7", "--budget", "1422563")
+    assert code == EXIT_BUDGET and out == "count>=1422563 partial=true\n"
+    code, out, _ = run_cli(capsys, "mls-count", "C7", "--budget", "1422564")
+    assert code == EXIT_OK and out == "count=1422564 partial=false\n"
 
 
 def test_missing_file_is_input_error(capsys):

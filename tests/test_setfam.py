@@ -14,6 +14,7 @@ from superext.setfam import (
     FamilyOfSets,
     MlsSignature,
     circ,
+    count_mls,
     enumerate_mls,
     family_to_signature,
     is_linked,
@@ -397,7 +398,20 @@ def test_stream_rejects_a_bad_order_or_pair_count_on_line_one(header):
 
 
 def test_stream_skips_blank_lines():
-    assert read_mls_stream(io.StringIO("n=2 pairs=2\n2\n\n2\n")) == (2, [2, 2])
+    assert read_mls_stream(io.StringIO("n=2 pairs=2\n0\n\n2\n")) == (2, [0, 2])
+
+
+@pytest.mark.parametrize("header", ["n=3 pairs=4 n=2 pairs=2 junk", "n=2 pairs=2 n=2", "n=2 pairs=2 junk", "n pairs=2"])
+def test_stream_rejects_a_repeated_or_unknown_header_token(header):
+    with pytest.raises(ValueError, match="^line 1:"):
+        read_mls_stream(io.StringIO(header + "\n2\n"))
+
+
+@pytest.mark.parametrize("body, line", [("2\n2\n", 3), ("0\n2\n\n0\n", 5)])
+def test_stream_rejects_a_vector_that_does_not_ascend(body, line):
+    # write_mls_stream writes ascending signatures with no repeats
+    with pytest.raises(ValueError, match=f"^line {line}: .* does not ascend"):
+        read_mls_stream(io.StringIO("n=2 pairs=2\n" + body))
 
 
 def test_stream_round_trip_c5_d6():
@@ -430,6 +444,24 @@ def test_order_seven_output_pinned():
     sigs = enumerate_mls(make_cyclic(7), budget=2_000_000)
     assert len(sigs) == 1_422_564
     assert hashlib.sha256(repr([s.bits for s in sigs]).encode()).hexdigest() == C7_DIGEST
+
+
+@pytest.mark.parametrize("spec", ["C1", "C2", "C3", "C4", "C5", "C6", "D6", "C2xC2"])
+def test_count_matches_the_enumeration_in_every_search_order(spec):
+    g = parse_spec(spec)
+    for order in ("descending", "skew_first", "balanced_first"):
+        assert count_mls(g) == len(enumerate_mls(g, order=order)), order
+
+
+def test_count_of_order_seven_pinned():
+    assert count_mls(make_cyclic(7), budget=2_000_000) == 1_422_564
+
+
+def test_count_keeps_the_order_guards():
+    with pytest.raises(ValueError, match="requires an explicit budget"):
+        count_mls(make_cyclic(7))
+    with pytest.raises(ValueError, match="beyond order 7"):
+        count_mls(make_cyclic(8), budget=10)
 
 
 def _all_or_budget(g, budget):
