@@ -60,8 +60,7 @@ def cmd_analyze(spec: str, brute: bool, as_json: bool, budget, seed: int) -> int
         return EXIT_OK
 
     check = engine.cross_check(group, spec, budget=budget)
-    sem, _, _ = engine._brute_parts(group, budget)
-    validate_associativity(sem, samples=1000, seed=seed)
+    validate_associativity(check.semigroup, samples=1000, seed=seed)
     if as_json:
         doc = {
             "verdict": check.verdict,
@@ -79,7 +78,7 @@ def cmd_analyze(spec: str, brute: bool, as_json: bool, budget, seed: int) -> int
 
 
 def cmd_table(as_json: bool) -> int:
-    rows = engine.reference_reports(with_brute=True)
+    rows = engine.reference_reports()
     if as_json:
         print(json.dumps([r.to_json() for _, r, _ in rows], indent=2, sort_keys=True))
     else:

@@ -23,7 +23,7 @@ from .groups import (
     subtable,
 )
 from .setfam import (
-    MAX_ENUM_ORDER, BudgetExceeded, MlsSignature, circ, enumerate_mls, indexed_circ, phi_table
+    MAX_ENUM_ORDER, MlsSignature, circ, enumerate_mls, indexed_circ, phi_table
 )
 from .twin import (
     Tag,
@@ -180,33 +180,6 @@ def decompose_cq_type(h: FiniteGroup) -> dict[Tag, int]:
     return cq_factors(h)
 
 
-def _brute_parts(g: FiniteGroup, budget: int | None = None):
-    """lambda(g), its minimal left ideal and Rees decomposition, built once
-    per group whatever the budget; a budget below |lambda(g)| still raises."""
-    def build():
-        sem = lambda_semigroup(g, budget=budget)
-        ideal = minimal_left_ideal(sem)
-        return sem, ideal, rees_decompose(sem, ideal)
-
-    parts = g._cache("brute_parts", build)
-    if budget is not None and parts[0].size > budget:
-        raise BudgetExceeded(budget)
-    return parts
-
-
-def analyze_brute(g: FiniteGroup, name: str = "?", budget: int | None = None) -> StructureReport:
-    sem, ideal, rees = _brute_parts(g, budget)
-    count = rees.left_zero_count
-    if count & (count - 1):
-        raise InvariantError("idempotent count of a minimal left ideal is not a power of two")
-    m = count.bit_length() - 1
-    q = decompose_cq_type(rees.group)
-    return StructureReport(
-        name, tuple(sorted(q.items())), m, provenance="brute",
-        notes=(f"superextension size {sem.size}, minimal left ideal size {len(ideal)}",),
-    )
-
-
 # -- cross-checking the two routes ---------------------------------------------------------
 
 
@@ -224,13 +197,25 @@ class CrossCheck:
     structural: StructureReport
     brute: StructureReport
     merged: StructureReport
+    semigroup: FiniteSemigroup  # the lambda(g) the brute route built
     isomorphism_certified: bool = False
 
 
 def cross_check(g: FiniteGroup, name: str = "?", budget: int | None = None) -> CrossCheck:
+    """The brute route's entry point: builds lambda(g), its minimal left ideal and
+    Rees decomposition once, and certifies the structural type against that ideal."""
     structural = analyze_structural(g, name)
-    brute = analyze_brute(g, name, budget=budget)
-    sem, ideal, _ = _brute_parts(g, budget)
+    sem = lambda_semigroup(g, budget=budget)
+    ideal = minimal_left_ideal(sem)
+    rees = rees_decompose(sem, ideal)
+    count = rees.left_zero_count
+    if count & (count - 1):
+        raise InvariantError("idempotent count of a minimal left ideal is not a power of two")
+    q = decompose_cq_type(rees.group)
+    brute = StructureReport(
+        name, tuple(sorted(q.items())), count.bit_length() - 1, provenance="brute",
+        notes=(f"superextension size {sem.size}, minimal left ideal size {len(ideal)}",),
+    )
     brute_ideal = FiniteSemigroup.from_table(subtable(sem.mul, sorted(ideal)))
     model = build_type_semigroup(structural.left_zero_exponent, structural.q_dict())
     iso = semigroup_isomorphic(brute_ideal, model)
@@ -253,6 +238,7 @@ def cross_check(g: FiniteGroup, name: str = "?", budget: int | None = None) -> C
         structural=structural,
         brute=brute,
         merged=merged,
+        semigroup=sem,
         isomorphism_certified=iso is True,
     )
 
@@ -380,13 +366,13 @@ REFERENCE_ROWS: tuple[tuple[str, int, str], ...] = (
 )
 
 
-def reference_reports(with_brute: bool = False) -> list[tuple[str, StructureReport, tuple[str, int, str]]]:
-    """Structural reports for the reference catalog, discrepancy-annotated."""
+def reference_reports() -> list[tuple[str, StructureReport, tuple[str, int, str]]]:
+    """Reports for the reference catalog, discrepancy-annotated; rows of order
+    <= MAX_ENUM_ORDER are cross-checked, the others are structural."""
     out = []
     for spec, ref_idem, ref_ideal in REFERENCE_ROWS:
         g = parse_spec(spec)
-        brute = with_brute and g.order <= 6
-        report = cross_check(g, spec).merged if brute else analyze_structural(g, spec)
+        report = cross_check(g, spec).merged if g.order <= MAX_ENUM_ORDER else analyze_structural(g, spec)
         notes = list(report.notes)
         for what, got, ref in (
             ("minimal left ideal", report.min_left_ideal_type, ref_ideal),

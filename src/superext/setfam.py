@@ -22,11 +22,11 @@ MAX_ENUM_ORDER_WITH_BUDGET = 7
 
 
 class BudgetExceeded(RuntimeError):
-    """Enumeration ran out of budget; carries the count emitted so far."""
+    """lambda(X) has more systems than the budget; raised before any is built."""
 
-    def __init__(self, count_so_far: int):
-        super().__init__(f"budget exceeded after {count_so_far} systems")
-        self.count_so_far = count_so_far
+    def __init__(self, budget: int):
+        super().__init__(f"budget exceeded: lambda has more than {budget} systems")
+        self.budget = budget
 
 
 class EquivarianceError(ValueError):
@@ -395,10 +395,9 @@ def read_mls_stream(fh) -> tuple[int, list[int]]:
     for lineno, line in enumerate(fh, start=2):
         if not line.strip():
             continue
-        try:
-            b = int(line, 16)
-        except ValueError:
-            raise ValueError(f"line {lineno}: {line.strip()!r} is not hexadecimal") from None
+        if line.strip().strip("0123456789abcdefABCDEF"):  # int(_, 16) also takes 0x2, +2, 0_2
+            raise ValueError(f"line {lineno}: {line.strip()!r} is not hexadecimal")
+        b = int(line, 16)
         if b >> pairs:
             raise ValueError(f"line {lineno}: {b:x} has bits beyond the {pairs} pairs")
         if b & 1:

@@ -74,6 +74,27 @@ def test_analyze_brute_agrees(capsys):
     assert "verdict: agree" in out
 
 
+def test_analyze_c4_brute_builds_lambda_once_and_validates_it(capsys, monkeypatch):
+    from superext import cli, engine
+
+    built, validated = [], []
+    real_lambda, real_validate = engine.lambda_semigroup, cli.validate_associativity
+
+    def counting_lambda(*args, **kwargs):
+        built.append(real_lambda(*args, **kwargs))
+        return built[-1]
+
+    def recording_validate(sem, **kwargs):
+        validated.append(sem)
+        return real_validate(sem, **kwargs)
+
+    monkeypatch.setattr(engine, "lambda_semigroup", counting_lambda)
+    monkeypatch.setattr(cli, "validate_associativity", recording_validate)
+    code, _, _ = run_cli(capsys, "analyze", "C4", "--brute")
+    assert code == EXIT_OK
+    assert len(built) == 1 and len(validated) == 1 and validated[0] is built[0]
+
+
 def test_analyze_c3_trivial(capsys):
     code, out, _ = run_cli(capsys, "analyze", "C3", "--brute")
     assert code == EXIT_OK
@@ -107,6 +128,7 @@ def test_analyze_names_the_token_a_constructor_refuses(capsys):
 def test_analyze_brute_over_budget(capsys):
     code, _, err = run_cli(capsys, "analyze", "C6", "--brute", "--budget", "100")
     assert code == EXIT_BUDGET
+    assert err == "error: budget exceeded: lambda has more than 100 systems\n"
 
 
 # -- table ------------------------------------------------------------------------------

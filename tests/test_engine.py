@@ -4,7 +4,6 @@ import pytest
 
 from superext.cli import parse_spec
 from superext.engine import (
-    analyze_brute,
     analyze_structural,
     build_projection_idempotent,
     build_type_semigroup,
@@ -195,19 +194,19 @@ def test_abelian_q_counts_subgroups_with_cyclic_2_power_quotient():
 
 
 def test_brute_c2_whole_superextension():
-    rep = analyze_brute(parse_spec("C2"), "C2")
+    rep = cross_check(parse_spec("C2"), "C2").brute
     assert rep.min_left_ideal_type == "C2"
     assert rep.idempotents_per_min_left_ideal == 1
 
 
 def test_brute_c4():
-    rep = analyze_brute(parse_spec("C4"), "C4")
+    rep = cross_check(parse_spec("C4"), "C4").brute
     assert rep.min_left_ideal_type == "C2 x C4"
     assert rep.idempotents_per_min_left_ideal == 1
 
 
 def test_brute_c3_trivial():
-    rep = analyze_brute(parse_spec("C3"), "C3")
+    rep = cross_check(parse_spec("C3"), "C3").brute
     assert rep.min_left_ideal_type == "1"
     assert rep.idempotents_per_min_left_ideal == 1
 
@@ -215,7 +214,7 @@ def test_brute_c3_trivial():
 def test_brute_matches_structural_idempotent_count_small():
     for spec in ("C1", "C2", "C3", "C4", "C5", "C2xC2"):
         g = parse_spec(spec)
-        brute = analyze_brute(g, spec)
+        brute = cross_check(g, spec).brute
         structural = analyze_structural(g, spec)
         assert brute.idempotents_per_min_left_ideal == structural.idempotents_per_min_left_ideal
 
@@ -264,7 +263,7 @@ def test_odd_reduction_types_match():
         assert a.min_left_ideal_type == b.min_left_ideal_type, spec
         assert a.max_subgroup_type == b.max_subgroup_type, spec
         if g.order <= 6:  # brute side where feasible
-            assert analyze_brute(g, spec).min_left_ideal_type == b.min_left_ideal_type, spec
+            assert cross_check(g, spec).brute.min_left_ideal_type == b.min_left_ideal_type, spec
 
 
 # -- minimal-ideal membership -----------------------------------------------------------------
@@ -357,8 +356,8 @@ def test_reference_reports_annotations():
     assert rows["C8"].idempotents_per_min_left_ideal == 2
 
 
-def test_reference_reports_with_brute_verdicts():
-    rows = {spec: report for spec, report, _ in reference_reports(with_brute=True)}
+def test_reference_reports_cross_check_the_small_rows():
+    rows = {spec: report for spec, report, _ in reference_reports()}
     assert rows["C2"].provenance == "both(agree)"
     assert rows["C8"].provenance == "structural"
 
@@ -382,22 +381,22 @@ def test_build_type_semigroup_shape():
     assert len(idems) == 4
 
 
-def test_brute_parts_built_once_per_group():
-    from superext.engine import _brute_parts
+def test_cross_check_refuses_a_budget_before_any_phi_table(monkeypatch):
+    from superext import engine
     from superext.setfam import BudgetExceeded
 
-    g = make_cyclic(6)
-    assert _brute_parts(g, 5000)[0] is _brute_parts(g)[0]
+    def refuse(sigs):
+        raise AssertionError("a Phi table was built")
+
+    monkeypatch.setattr(engine, "indexed_circ", refuse)
     with pytest.raises(BudgetExceeded) as exc:
-        _brute_parts(g, 5)
-    assert exc.value.count_so_far == 5
+        cross_check(make_cyclic(6), budget=5)
+    assert exc.value.budget == 5
 
 
 def test_lambda_semigroup_is_fresh_after_cross_check():
     # the benchmark's brute item checks that the two builds are distinct objects
     g = make_cyclic(4)
     check = cross_check(g)
-    from superext.engine import _brute_parts
-
     assert check.verdict == "agree"
-    assert lambda_semigroup(g) is not _brute_parts(g)[0]
+    assert lambda_semigroup(g) is not check.semigroup

@@ -1,6 +1,7 @@
 """Guarantees that span modules: no bare asserts, one class for internal
-failures, a line budget for src/, no engine -> cli import, fresh file
-specs, and loader errors reported in document indices."""
+failures, no private name read across modules, a line budget for src/,
+no engine -> cli import, fresh file specs, and loader errors reported in
+document indices."""
 
 import ast
 import json
@@ -53,6 +54,36 @@ def test_src_modules_use_every_name_they_import():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         found += [f"{path.relative_to(SRC)}:{line} {name}" for name, line in imported.items() if name not in used]
     assert found == []
+
+
+def private_reads_across_modules(root: Path) -> list[str]:
+    """Each place a module under root reads a _-prefixed name of another
+    superext module, as module._name or through from-import."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("superext")):
+                private = [a.name for a in node.names if a.name.startswith("_") and not a.name.endswith("__")]
+                found += [f"{path.relative_to(root)}:{node.lineno} {name}" for name in private]
+                if node.module in (None, "superext"):
+                    modules.update(a.asname or a.name for a in node.names)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+                and node.attr.startswith("_")
+                and not node.attr.endswith("__")
+            ):
+                found.append(f"{path.relative_to(root)}:{node.lineno} {node.value.id}.{node.attr}")
+    return found
+
+
+def test_src_reads_no_private_name_of_another_module():
+    # a private helper called from another module is an entry point in disguise
+    assert private_reads_across_modules(SRC) == []
 
 
 def test_src_stays_within_its_line_budget():

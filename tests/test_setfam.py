@@ -3,6 +3,7 @@
 import hashlib
 import io
 import random
+import re
 from collections.abc import Sequence
 
 import pytest
@@ -131,7 +132,7 @@ def test_enumeration_budget():
     g = make_cyclic(5)
     with pytest.raises(BudgetExceeded) as exc:
         enumerate_mls(g, budget=10)
-    assert exc.value.count_so_far == 10
+    assert exc.value.budget == 10
 
 
 def test_enumeration_refuses_large_orders():
@@ -150,7 +151,7 @@ def test_enumeration_order_seven_behind_budget():
     g = make_cyclic(7)
     with pytest.raises(BudgetExceeded) as exc:
         enumerate_mls(g, budget=50)
-    assert exc.value.count_so_far == 50
+    assert exc.value.budget == 50
 
 
 # -- membership -------------------------------------------------------------------------
@@ -382,8 +383,10 @@ def test_stream_rejects_a_header_without_pairs():
 
 
 def test_stream_rejects_a_line_that_is_not_hexadecimal():
-    with pytest.raises(ValueError, match="line 2"):
-        read_mls_stream(io.StringIO("n=2 pairs=2\nzz\n"))
+    # int(_, 16) reads the three after zz as 2, and -2 as a negative value
+    for body in ("zz", "0x2", "+2", "0_2", "-2"):
+        with pytest.raises(ValueError, match=re.escape(f"line 2: '{body}' is not hexadecimal")):
+            read_mls_stream(io.StringIO(f"n=2 pairs=2\n{body}\n"))
 
 
 def test_stream_rejects_a_pair_count_that_disagrees_with_the_order():
@@ -469,7 +472,7 @@ def _all_or_budget(g, budget):
     try:
         return [s.bits for s in enumerate_mls(g, budget=budget)]
     except BudgetExceeded as exc:
-        assert exc.count_so_far == budget
+        assert exc.budget == budget
         return None
 
 
