@@ -48,7 +48,9 @@ def _print_header() -> None:
 # -- commands -------------------------------------------------------------------------
 
 
-def cmd_analyze(spec: str, brute: bool, as_json: bool, budget, seed: int) -> int:
+def cmd_analyze(spec: str, brute: bool, as_json: bool, budget, seed) -> int:
+    if not brute and (budget, seed) != (None, None):
+        raise ValueError("--budget and --seed apply only with --brute")
     group = parse_spec(spec)
     if not brute:
         structural = engine.analyze_structural(group, spec)
@@ -60,7 +62,7 @@ def cmd_analyze(spec: str, brute: bool, as_json: bool, budget, seed: int) -> int
         return EXIT_OK
 
     check = engine.cross_check(group, spec, budget=budget)
-    validate_associativity(check.semigroup, samples=1000, seed=seed)
+    validate_associativity(check.semigroup, samples=1000, seed=seed or 0)
     if as_json:
         doc = {
             "verdict": check.verdict,
@@ -111,13 +113,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _budget(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
+    if not (text.isascii() and text.isdigit()):  # int() also takes +81, 8_1, " 81" and Arabic-Indic digits
         raise argparse.ArgumentTypeError(f"budget must be a non-negative integer, got {text!r}")
-    return value
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -131,8 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("spec", help=GRAMMAR)
     p_an.add_argument("--brute", action="store_true", help="also run the brute-force route and cross-check")
     p_an.add_argument("--json", action="store_true")
-    p_an.add_argument("--budget", type=_budget, default=None, help="enumeration budget (systems)")
-    p_an.add_argument("--seed", type=int, default=0, help="seed for sampled invariant checks")
+    p_an.add_argument("--budget", type=_budget, default=None, help="enumeration budget (systems); --brute only")
+    p_an.add_argument("--seed", type=int, default=None, help="seed for sampled invariant checks (default 0); --brute only")
     p_an.set_defaults(run=lambda a: cmd_analyze(a.spec, a.brute, a.json, a.budget, a.seed))
 
     p_tab = sub.add_parser("table", help="reproduce the reference table of small groups")

@@ -26,11 +26,11 @@ from .setfam import (
     MAX_ENUM_ORDER, MlsSignature, circ, enumerate_mls, indexed_circ, phi_table
 )
 from .twin import (
+    CogroupOrbit,
     Tag,
     cogroup_orbits,
     cq_factors,
     fix_minus_table,
-    maximal_2cogroups,
     q_counts,
     tag_str,
     twin_sets_for,
@@ -68,14 +68,17 @@ def strip_left_zero_factor(type_str: str) -> str:
 # -- reports ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrbitSummary:
-    rep_mask: int
-    kpm_index: int          # |X / K+-|
-    h_order: int            # |characteristic group|
-    t_size: int             # |T_K| = 2^kpm_index
-    orbit_space_size: int   # |[T_K]| = t_size / h_order
-    classification: Tag = ("C", 1)
+def _m_summand(orbit: CogroupOrbit) -> dict:
+    """One orbit's share of m: |T_K| = 2^|X/K+-| twin sets, free under H = Stab(K)/KK."""
+    idx, e = orbit.representative.kpm_index(), orbit.characteristic_type[1]
+    return {
+        "K": format(orbit.representative.members, "x"),
+        "orbit_size_T": 1 << idx - e,
+        "x_mod_kpm": idx,
+        "h_order": 1 << e,
+        "t_size": 1 << idx,
+        "classification": tag_str(orbit.characteristic_type),
+    }
 
 
 @dataclass(frozen=True)
@@ -83,7 +86,7 @@ class StructureReport:
     group_name: str
     q_vector: tuple[tuple[Tag, int], ...] = ()
     left_zero_exponent: int = 0
-    per_orbit: tuple[OrbitSummary, ...] = ()
+    per_orbit: tuple[CogroupOrbit, ...] = ()
     provenance: str = "structural"
     notes: tuple[str, ...] = ()
 
@@ -107,17 +110,7 @@ class StructureReport:
             "group": self.group_name,
             "q": {tag_str(t): c for t, c in self.q_vector},
             "m": self.left_zero_exponent,
-            "m_summands": [
-                {
-                    "K": format(o.rep_mask, "x"),
-                    "orbit_size_T": o.orbit_space_size,
-                    "x_mod_kpm": o.kpm_index,
-                    "h_order": o.h_order,
-                    "t_size": o.t_size,
-                    "classification": tag_str(o.classification),
-                }
-                for o in self.per_orbit
-            ],
+            "m_summands": [_m_summand(o) for o in self.per_orbit],
             "min_left_ideal": self.min_left_ideal_type,
             "max_subgroup": self.max_subgroup_type,
             "idempotents": self.idempotents_per_min_left_ideal,
@@ -132,31 +125,17 @@ class StructureReport:
 def analyze_structural(g: FiniteGroup, name: str = "?") -> StructureReport:
     if g.order > MAX_PIPELINE_ORDER:
         raise ValueError(f"structural analysis capped at order {MAX_PIPELINE_ORDER}")
-    per_orbit = []
+    per_orbit = tuple(cogroup_orbits(g))
     m = 0
-    for orbit in cogroup_orbits(g):
+    for orbit in per_orbit:
         k = orbit.representative
-        kpm_index = k.kpm_index()
-        h_order = k.stab.bit_count() // k.kk.bit_count()
-        t_size = 1 << kpm_index
-        orbit_space = t_size // h_order
-        if t_size % h_order or orbit_space & (orbit_space - 1):
-            raise InvariantError(f"orbit space of size {t_size}/{h_order} is not a power of two")
-        m += orbit_space.bit_length() - 1
-        tag = orbit.characteristic_type
-        if 1 << tag[1] != h_order:
+        idx, e = k.kpm_index(), orbit.characteristic_type[1]
+        if e > idx:
+            raise InvariantError(f"orbit space of size {1 << idx}/{1 << e} is not a power of two")
+        if 1 << e != k.stab.bit_count() // k.kk.bit_count():
             raise InvariantError("characteristic type disagrees with |Stab(K)/KK|")
-        per_orbit.append(
-            OrbitSummary(
-                rep_mask=k.members,
-                kpm_index=kpm_index,
-                h_order=h_order,
-                t_size=t_size,
-                orbit_space_size=orbit_space,
-                classification=tag,
-            )
-        )
-    return StructureReport(name, tuple(sorted(q_counts(g).items())), m, per_orbit=tuple(per_orbit))
+        m += idx - e
+    return StructureReport(name, tuple(sorted(q_counts(g).items())), m, per_orbit=per_orbit)
 
 
 # -- brute-force analysis ---------------------------------------------------------------
@@ -260,7 +239,7 @@ def min_ideal_membership(g: FiniteGroup, system: MlsSignature) -> bool:
     reduces to the one-shift-orbit test.
     """
     full = g.full_mask()
-    maximal = {k.members for k in maximal_2cogroups(g)}
+    maximal = {k.members for orbit in cogroup_orbits(g) for k in orbit.members}
     fixm = fix_minus_table(g)
     values = phi_table(system)
     image = {values[a] for a in range(full + 1) if fixm[a] in maximal}

@@ -13,7 +13,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations, product, repeat
+from itertools import combinations, permutations, product
 from math import gcd
 from operator import itemgetter
 
@@ -163,9 +163,9 @@ def check_shape(table, n: int) -> None:
     for i, row in enumerate(table):
         if not isinstance(row, (list, tuple)) or len(row) != n:
             raise GroupValidationError("shape", f"row {i} is not a list of {n} entries")
-        # the type test first: 1.0 == 1 would pass the range test
-        if not (all(map(isinstance, row, repeat(int))) and entries.issuperset(row)):
-            j, v = next((j, v) for j, v in enumerate(row) if not isinstance(v, int) or not 0 <= v < n)
+        # the type test first: 1.0 == 1 and True == 1 would pass the range test
+        if not ({int}.issuperset(map(type, row)) and entries.issuperset(row)):
+            j, v = next((j, v) for j, v in enumerate(row) if type(v) is not int or not 0 <= v < n)
             raise GroupValidationError("shape", f"entry ({i},{j}) = {v!r} out of range")
 
 
@@ -310,7 +310,7 @@ def from_cayley_document(document: dict) -> FiniteGroup:
         raise GroupValidationError("shape", 'document must contain "order" and "table"')
     n = document["order"]
     table = document["table"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:  # bool is an int subclass
         raise GroupValidationError("shape", "order must be a positive integer")
     if n > MAX_GROUP_ORDER:
         raise GroupValidationError("shape", f"order {n} exceeds cap {MAX_GROUP_ORDER}")
@@ -399,23 +399,19 @@ def all_subgroups(g: FiniteGroup) -> list[int]:
     found by generator extension."""
     if g.order > MAX_GROUP_ORDER:
         raise ValueError(f"order {g.order} exceeds cap {MAX_GROUP_ORDER}")
-
-    def build():
-        found = {1: 0}  # each subgroup found -> a mask of generators of it
-        frontier = [1]
-        while frontier:
-            h = frontier.pop()
-            for x in range(1, g.order):
-                if (h >> x) & 1:
-                    continue
-                gens = found[h] | 1 << x
-                k = closure(g.table, gens)
-                if k not in found:
-                    found[k] = gens
-                    frontier.append(k)
-        return sorted(found, key=lambda m: (m.bit_count(), m))
-
-    return g._cache("subgroups", build)
+    found = {1: 0}  # each subgroup found -> a mask of generators of it
+    frontier = [1]
+    while frontier:
+        h = frontier.pop()
+        for x in range(1, g.order):
+            if (h >> x) & 1:
+                continue
+            gens = found[h] | 1 << x
+            k = closure(g.table, gens)
+            if k not in found:
+                found[k] = gens
+                frontier.append(k)
+    return sorted(found, key=lambda m: (m.bit_count(), m))
 
 
 def orbits(points, images) -> list[list[int]]:
@@ -503,32 +499,26 @@ def hom_count_to_cyclic2(g: FiniteGroup, k: int) -> int:
 
 def cogroup_masks(g: FiniteGroup) -> list[tuple[int, int, int]]:
     """All (K, KK, K_pm) mask triples: K = H_pm \\ H with H of index 2 in H_pm."""
-    def build():
-        subs = all_subgroups(g)
-        out = {}
-        for hpm in subs:
-            size = hpm.bit_count()
-            if size % 2:
-                continue
-            for h in subs:
-                if 2 * h.bit_count() == size and h & hpm == h:
-                    out[hpm ^ h] = (hpm ^ h, h, hpm)
-        return sorted(out.values())
-
-    return g._cache("cogroup_masks", build)
+    subs = all_subgroups(g)
+    out = {}
+    for hpm in subs:
+        size = hpm.bit_count()
+        if size % 2:
+            continue
+        for h in subs:
+            if 2 * h.bit_count() == size and h & hpm == h:
+                out[hpm ^ h] = (hpm ^ h, h, hpm)
+    return sorted(out.values())
 
 
 def maximal_cogroup_masks(g: FiniteGroup) -> list[tuple[int, int, int]]:
     """The 2-cogroups in no larger one, by triple.  Walked by descending size:
     a 2-cogroup inside a larger one lies inside a maximal one, met earlier."""
-    def build():
-        out = []
-        for trip in sorted(cogroup_masks(g), key=lambda t: -t[0].bit_count()):
-            if not any(m & trip[0] == trip[0] for m, _, _ in out):
-                out.append(trip)
-        return sorted(out)
-
-    return g._cache("maximal_cogroup_masks", build)
+    out = []
+    for trip in sorted(cogroup_masks(g), key=lambda t: -t[0].bit_count()):
+        if not any(m & trip[0] == trip[0] for m, _, _ in out):
+            out.append(trip)
+    return sorted(out)
 
 
 def odd_subgroup(g: FiniteGroup) -> int:

@@ -96,13 +96,10 @@ def is_pretwin(g: FiniteGroup, a: int) -> bool:
 
 
 def maximal_2cogroups(g: FiniteGroup) -> list[TwoCogroup]:
-    def build():
-        return [
-            TwoCogroup(g, k, kk, kpm, mask_from_elements(x for x in range(g.order) if g.conj_mask(x, k) == k))
-            for k, kk, kpm in maximal_cogroup_masks(g)
-        ]
-
-    return g._cache("maximal_2cogroups", build)
+    return [
+        TwoCogroup(g, k, kk, kpm, mask_from_elements(x for x in range(g.order) if g.conj_mask(x, k) == k))
+        for k, kk, kpm in maximal_cogroup_masks(g)
+    ]
 
 
 def cogroup_orbits(g: FiniteGroup) -> list[CogroupOrbit]:

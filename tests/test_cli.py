@@ -125,6 +125,12 @@ def test_analyze_names_the_token_a_constructor_refuses(capsys):
         assert reason in err and f"token {spec!r} at position 0" in err, spec
 
 
+@pytest.mark.parametrize("option", [("--budget", "0"), ("--seed", "0"), ("--seed", "3")])
+def test_brute_options_without_brute_are_input_errors(capsys, option):
+    code, out, err = run_cli(capsys, "analyze", "C6", *option)
+    assert (code, out, err) == (EXIT_INPUT, "", "error: --budget and --seed apply only with --brute\n")
+
+
 def test_analyze_brute_over_budget(capsys):
     code, _, err = run_cli(capsys, "analyze", "C6", "--brute", "--budget", "100")
     assert code == EXIT_BUDGET
@@ -204,8 +210,11 @@ def usage_exit(capsys, *argv):
 
 
 def test_non_integer_budget_is_input_error(capsys):
-    code, out, err = usage_exit(capsys, "mls-count", "C3", "--budget", "abc")
-    assert code == EXIT_INPUT and out == "" and "--budget" in err
+    # int() takes the first four: a sign, an underscore, blanks and non-ASCII digits
+    for text in ("+81", "8_1", " 81", "\u0668\u0661", "abc"):
+        code, out, err = usage_exit(capsys, "mls-count", "C3", "--budget", text)
+        assert code == EXIT_INPUT and out == "" and "--budget" in err, text
+        assert f"budget must be a non-negative integer, got {text!r}" in err, text
 
 
 def test_missing_spec_is_input_error(capsys):
@@ -274,6 +283,7 @@ def test_missing_file_is_input_error(capsys):
     [
         {"order": 2, "table": 5},
         {"order": 3, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]], "names": ["a"]},
+        {"order": 2, "table": [[False, True], [True, False]]},  # JSON booleans, not entries
     ],
 )
 def test_malformed_document_is_input_error(tmp_path, capsys, document):

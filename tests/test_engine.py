@@ -135,12 +135,32 @@ def test_structural_rejects_large_orders():
 def test_structural_m_equals_sum_of_orbit_logs():
     for spec in catalog_specs(16):
         rep = analyze_structural(parse_spec(spec), spec)
-        total = sum(o.orbit_space_size.bit_length() - 1 for o in rep.per_orbit)
+        summands = rep.to_json()["m_summands"]
+        total = sum(o["orbit_size_T"].bit_length() - 1 for o in summands)
         assert rep.left_zero_exponent == total
         assert rep.idempotents_per_min_left_ideal == 1 << total
-        for o in rep.per_orbit:
-            assert o.t_size == 1 << o.kpm_index
-            assert o.t_size == o.h_order * o.orbit_space_size
+        for o in summands:
+            assert o["t_size"] == 1 << o["x_mod_kpm"]
+            assert o["t_size"] == o["h_order"] * o["orbit_size_T"]
+
+
+def test_structural_runs_each_lattice_stage_once_per_group(monkeypatch):
+    # each stage is wrapped where its caller looks it up; only cogroup_orbits caches
+    from superext import groups, twin
+
+    calls = dict.fromkeys(("all_subgroups", "cogroup_masks", "maximal_cogroup_masks", "maximal_2cogroups"), 0)
+    for module, name in ((groups, "all_subgroups"), (groups, "cogroup_masks"),
+                         (twin, "maximal_cogroup_masks"), (twin, "maximal_2cogroups")):
+        def counted(g, _stage=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _stage(g)
+
+        monkeypatch.setattr(module, name, counted)
+    g = groups.make_dihedral(8)
+    first = analyze_structural(g, "D8")
+    assert calls == dict.fromkeys(calls, 1)
+    assert analyze_structural(g, "D8") == first
+    assert calls == dict.fromkeys(calls, 1)
 
 
 def test_max_subgroup_is_ideal_type_without_left_zeros():

@@ -569,6 +569,8 @@ def test_parse_cache_evicts_the_least_recently_used():
         {"order": 1, "table": [5]},  # row not a list
         {"order": 3, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]], "names": ["a"]},
         {"order": 1, "table": [[0]], "names": "e"},  # names not a list
+        {"order": True, "table": [[0]]},  # True == 1, but a boolean is no order
+        {"order": 2, "table": [[False, True], [True, False]]},  # booleans are no entries
     ],
 )
 def test_document_shape_rejections(document):
