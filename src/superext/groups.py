@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations, permutations, product
+from functools import reduce
+from itertools import combinations, permutations
 from math import gcd
 from operator import itemgetter
 
@@ -166,6 +166,8 @@ def check_shape(table, n: int) -> None:
         # the type test first: 1.0 == 1 and True == 1 would pass the range test
         if not ({int}.issuperset(map(type, row)) and entries.issuperset(row)):
             j, v = next((j, v) for j, v in enumerate(row) if type(v) is not int or not 0 <= v < n)
+            if type(v) is not int:
+                raise GroupValidationError("shape", f"entry ({i},{j}) = {v!r} is not an integer")
             raise GroupValidationError("shape", f"entry ({i},{j}) = {v!r} out of range")
 
 
@@ -271,8 +273,7 @@ def make_alternating4() -> FiniteGroup:
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
-    if g.order * h.order > MAX_GROUP_ORDER:
-        raise ValueError(f"product order {g.order * h.order} exceeds cap {MAX_GROUP_ORDER}")
+    """Pairs (a, b) in lexicographic order.  No order cap: parse_spec caps spec products."""
     pairs = [(a, b) for a in range(g.order) for b in range(h.order)]
     table = subtable(lambda x, y: (g.table[x[0]][y[0]], h.table[x[1]][y[1]]), pairs)
     names = None
@@ -282,18 +283,14 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
 
 
 def make_cq_product(q) -> FiniteGroup:
-    """C_{2^k} and Q_{2^k} factors, q[(family, k)] of each, multiplied in sorted tag order.
-
-    Tuples of factor elements in lexicographic order, as chained direct
-    products list them.  No order cap: callers size q by a group they hold.
-    """
+    """C_{2^k} and Q_{2^k} factors, q[(family, k)] of each, chained as direct
+    products in sorted tag order.  Callers size q by a group they hold."""
     factors = [
         make_cyclic(2**k) if fam == "C" else make_generalized_quaternion(2**k)
         for (fam, k), count in sorted(q.items())
         for _ in range(count)
     ]
-    elems = product(*(range(f.order) for f in factors))
-    return FiniteGroup(subtable(lambda x, y: tuple(f.table[a][b] for f, a, b in zip(factors, x, y)), elems))
+    return reduce(direct_product, factors, make_cyclic(1))
 
 
 # -- Cayley table documents -------------------------------------------------------
@@ -324,10 +321,7 @@ def from_cayley_document(document: dict) -> FiniteGroup:
     old_order = list(range(n))
     if e != 0:
         old_order[0], old_order[e] = e, 0
-    pos = {old: new for new, old in enumerate(old_order)}
-    new_table = [
-        [pos[table[old_order[i]][old_order[j]]] for j in range(n)] for i in range(n)
-    ]
+    new_table = subtable(lambda a, b: table[a][b], old_order)
     new_names = [names[old] for old in old_order] if names is not None else None
     try:
         group = FiniteGroup(new_table, names=new_names)
@@ -718,28 +712,24 @@ def _make_atom(token: str, position: int) -> FiniteGroup:
 
 
 def parse_spec(text: str) -> FiniteGroup:
-    """Build the group named by a spec string, left-to-right for products.
+    """Build a fresh group for a spec string, left-to-right for products.
 
-    The 64 most recently used named specs are cached; file specs are read
-    afresh every time, so an edited file is never served stale.
+    A product above MAX_GROUP_ORDER is refused, at the position of the
+    factor that overflows, before it is built.  File specs are read from
+    disk on every call.
     """
     if text.startswith("file:"):
         return from_cayley_file(text[5:])
-    return _parse_named(text)
-
-
-@lru_cache(maxsize=64)  # above the 32 catalog specs: `table` builds each group once
-def _parse_named(text: str) -> FiniteGroup:
     position = 0
     group = None
     for tok in text.split("x"):
         if not tok:
             raise SpecError(f"empty token at position {position}", position)
         atom = _make_atom(tok, position)
-        try:
-            group = atom if group is None else direct_product(group, atom)
-        except ValueError as exc:
-            raise SpecError(f"{exc} while building {text!r}", position) from exc
+        if group is not None and group.order * atom.order > MAX_GROUP_ORDER:
+            message = f"product order {group.order * atom.order} exceeds cap {MAX_GROUP_ORDER} while building {text!r}"
+            raise SpecError(message, position)
+        group = atom if group is None else direct_product(group, atom)
         position += len(tok) + 1
     return group
 

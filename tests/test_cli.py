@@ -59,6 +59,12 @@ def test_parse_size_cap():
         parse_spec("C16xC16")
 
 
+def test_product_above_cap_is_input_error(capsys):
+    code, out, err = run_cli(capsys, "analyze", "C4xD8xC4")
+    assert code == EXIT_INPUT and out == ""
+    assert err == "error: product order 128 exceeds cap 64 while building 'C4xD8xC4'\n"
+
+
 # -- analyze ---------------------------------------------------------------------------
 
 

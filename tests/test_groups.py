@@ -9,6 +9,7 @@ from superext.groups import (
     FiniteGroup,
     GroupValidationError,
     INFINITY,
+    SpecError,
     all_subgroups,
     closure,
     cogroup_masks,
@@ -142,9 +143,13 @@ def test_direct_product_identity():
     assert group_isomorphic(g, make_dihedral(6))
 
 
-def test_direct_product_cap():
-    with pytest.raises(ValueError):
-        direct_product(make_cyclic(16), make_cyclic(8))
+def test_spec_grammar_caps_products():
+    # the grammar refuses a product above order 64 at the overflowing factor; direct_product has no cap
+    with pytest.raises(SpecError) as exc:
+        parse_spec("C4xD8xC4")
+    assert str(exc.value) == "product order 128 exceeds cap 64 while building 'C4xD8xC4'"
+    assert exc.value.position == 6
+    assert direct_product(make_cyclic(16), make_cyclic(8)).order == 128
 
 
 # -- Cayley documents ------------------------------------------------------------------
@@ -540,18 +545,6 @@ def test_shift_mask_above_the_shift_table_order():
             call()
 
 
-def test_parse_cache_returns_the_same_group():
-    assert parse_spec("D6") is parse_spec("D6")
-
-
-def test_parse_cache_evicts_the_least_recently_used():
-    specs = ["x".join(["C1"] * k) for k in range(1, 66)]  # 65 distinct trivial groups
-    built = [parse_spec(s) for s in specs]
-    assert parse_spec(specs[1]) is built[1]  # a hit makes specs[1] the most recent
-    assert parse_spec(specs[0]) is not built[0]  # the oldest was evicted
-    assert parse_spec(specs[1]) is built[1]  # rebuilding specs[0] evicted specs[2], not specs[1]
-
-
 @pytest.mark.parametrize(
     "document",
     [
@@ -577,3 +570,18 @@ def test_document_shape_rejections(document):
     with pytest.raises(GroupValidationError) as exc:
         from_cayley_document(document)
     assert exc.value.kind == "shape"
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (False, "entry (1,1) = False is not an integer"),
+        (1.5, "entry (1,1) = 1.5 is not an integer"),
+        ("1", "entry (1,1) = '1' is not an integer"),
+        (2, "entry (1,1) = 2 out of range"),
+    ],
+)
+def test_table_entry_error_names_type_or_range(entry, message):
+    with pytest.raises(GroupValidationError) as exc:
+        from_cayley_document({"order": 2, "table": [[0, 1], [1, entry]]})
+    assert exc.value.kind == "shape" and str(exc.value) == message

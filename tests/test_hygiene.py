@@ -1,7 +1,7 @@
 """Guarantees that span modules: no bare asserts, one class for internal
 failures, no private name read across modules, a line budget for src/,
-no engine -> cli import, fresh file specs, and loader errors reported in
-document indices."""
+no process-wide cache, no engine -> cli import, fresh file specs, and
+loader errors reported in document indices."""
 
 import ast
 import json
@@ -90,6 +90,20 @@ def test_src_stays_within_its_line_budget():
     # the ceiling that the roadmap sets for src/superext once the oracle and the full catalog land
     lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in (SRC / "superext").glob("*.py"))
     assert lines <= 2508
+
+
+def test_src_keeps_no_process_wide_cache():
+    # caches live on the group they describe; a module-level memo outlives its groups
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.FunctionDef):
+                for deco in node.decorator_list:
+                    target = deco.func if isinstance(deco, ast.Call) else deco
+                    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+                    if name in ("lru_cache", "cache"):
+                        found.append(f"{path.relative_to(SRC / 'superext')}:{node.lineno} {node.name}")
+    assert found == []
 
 
 def test_engine_does_not_import_cli():

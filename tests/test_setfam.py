@@ -294,40 +294,6 @@ def test_phi_is_injective_on_lambda():
         assert len(maps) == len(enumerate_mls(g))
 
 
-def test_maximal_linked_iff_map_monotone_symmetric():
-    # every family of subsets, checked against its function representation
-    for spec in SMALL:
-        g = parse_spec(spec)
-        full = g.full_mask()
-        n_masks = full + 1
-        mls_bits = {s.bits for s in enumerate_mls(g)}
-        kept_maps = set()
-        for fam_bits in range(1 << n_masks):
-            members = frozenset(m for m in range(n_masks) if (fam_bits >> m) & 1)
-            fam = FamilyOfSets(g, members)
-            vals = tuple(phi(fam, a) for a in range(n_masks))
-            monotone = True
-            symmetric = all(vals[a ^ full] == vals[a] ^ full for a in range(n_masks))
-            if symmetric:
-                for a in range(n_masks):
-                    b = a
-                    while monotone:
-                        b = (b + 1) | a
-                        if b > full:
-                            break
-                        if vals[a] & vals[b] != vals[a]:
-                            monotone = False
-                    if not monotone:
-                        break
-            ok = symmetric and monotone
-            assert ok == is_maximal_linked(fam), (spec, fam_bits)
-            if ok:
-                kept_maps.add(vals)
-        # bijectivity: the monotone symmetric maps are exactly the lambda maps
-        lam_maps = {phi_map(MlsSignature(g, b)) for b in mls_bits}
-        assert kept_maps == lam_maps, spec
-
-
 def test_phi_inverse_round_trip():
     g = make_cyclic(4)
     for sig in enumerate_mls(g):
