@@ -143,12 +143,14 @@ def analyze_structural(g: FiniteGroup, name: str = "?") -> StructureReport:
 
 def lambda_semigroup(g: FiniteGroup, budget: int | None = None) -> FiniteSemigroup:
     """The whole superextension as a finite semigroup (orders <= 6),
-    multiplied through the function representation Phi."""
+    multiplied through the function representation Phi.  The Phi tables of
+    all systems are built in one column-sliced pass over their signature
+    bits (setfam.phi_tables), not one system at a time."""
     if g.order > MAX_ENUM_ORDER:
         # lambda(C7) alone has 1,422,564 elements, each with a Phi table
         raise ValueError(f"the superextension semigroup is built up to order {MAX_ENUM_ORDER}")
     sigs = enumerate_mls(g, budget=budget)
-    return FiniteSemigroup(len(sigs), indexed_circ(sigs), labels=sigs)
+    return FiniteSemigroup(len(sigs), indexed_circ(g, sigs.bits), labels=sigs)
 
 
 def decompose_cq_type(h: FiniteGroup) -> dict[Tag, int]:

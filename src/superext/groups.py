@@ -491,9 +491,11 @@ def hom_count_to_cyclic2(g: FiniteGroup, k: int) -> int:
 # -- 2-cogroup masks (shared with the twin machinery) --------------------------------
 
 
-def cogroup_masks(g: FiniteGroup) -> list[tuple[int, int, int]]:
-    """All (K, KK, K_pm) mask triples: K = H_pm \\ H with H of index 2 in H_pm."""
-    subs = all_subgroups(g)
+def cogroup_masks(g: FiniteGroup, subs: list[int] | None = None) -> list[tuple[int, int, int]]:
+    """All (K, KK, K_pm) mask triples: K = H_pm \\ H with H of index 2 in H_pm.
+    subs is g's subgroup lattice, built here when not given."""
+    if subs is None:
+        subs = all_subgroups(g)
     out = {}
     for hpm in subs:
         size = hpm.bit_count()
@@ -506,10 +508,15 @@ def cogroup_masks(g: FiniteGroup) -> list[tuple[int, int, int]]:
 
 
 def maximal_cogroup_masks(g: FiniteGroup) -> list[tuple[int, int, int]]:
-    """The 2-cogroups in no larger one, by triple.  Walked by descending size:
+    """The 2-cogroups in no larger one, by triple."""
+    return _maximal_triples(cogroup_masks(g))
+
+
+def _maximal_triples(triples) -> list[tuple[int, int, int]]:
+    """The triples whose K lies in no other K.  Walked by descending size:
     a 2-cogroup inside a larger one lies inside a maximal one, met earlier."""
     out = []
-    for trip in sorted(cogroup_masks(g), key=lambda t: -t[0].bit_count()):
+    for trip in sorted(triples, key=lambda t: -t[0].bit_count()):
         if not any(m & trip[0] == trip[0] for m, _, _ in out):
             out.append(trip)
     return sorted(out)
@@ -519,15 +526,17 @@ def odd_subgroup(g: FiniteGroup) -> int:
     """Mask of the largest normal subgroup all of whose elements have odd order.
 
     Computed as the intersection of KK over all maximal 2-cogroups K and
-    verified against a direct search over normal odd subgroups.
+    verified against a direct search over normal odd subgroups.  Both read
+    one subgroup lattice.
     """
-    maximal = maximal_cogroup_masks(g)
+    subs = all_subgroups(g)
+    maximal = _maximal_triples(cogroup_masks(g, subs))
     mask = g.full_mask()
     for _, kk, _ in maximal:
         mask &= kk
     # direct search: the largest normal subgroup with all element orders odd
     best = 1
-    for s in all_subgroups(g):
+    for s in subs:
         if is_normal_mask(g, s) and all(g.element_orders[x] % 2 for x in mask_elements(s)):
             if s.bit_count() > best.bit_count():
                 best = s

@@ -5,6 +5,14 @@ pair {A, X\\A}; the representative of a pair is the mask with the smaller
 integer value, so pair ids are exactly the masks 0 .. 2^(n-1)-1 and
 membership is O(1).  Explicit families are only materialized for general
 (non-maximal-linked) inputs.
+
+The function representation Phi comes two ways.  pair_row and phi_table
+read one system's table off its membership string (orders <= 16).
+phi_tables builds the tables of a whole list of systems together (orders
+<= 8): the signatures become one 0/1 byte string, each subset's column over
+all systems is one strided slice of it, and each group element adds one
+big integer, so no Python loop runs over the systems.  indexed_circ, the
+product of lambda_semigroup, uses the batch.
 """
 
 from __future__ import annotations
@@ -335,15 +343,45 @@ def circ(a, b):
     return FamilyOfSets(g, members)
 
 
-def indexed_circ(sigs: list[MlsSignature]):
-    """mult(i, j) = the index of sigs[i] o sigs[j] in sigs, a list closed under circ.
+_BYTES01 = bytes.maketrans(b"01", b"\0\1")
+_NOT01 = bytes.maketrans(b"\0\1", b"\1\0")
+
+
+def phi_tables(g: FiniteGroup, bits: Sequence[int]) -> list[bytes]:
+    """phi_table of every signature in bits, as bytes, built together.
+
+    The signatures, formatted as one 0/1 byte string, hold pair q of every
+    system in the strided column s[half-1-q::half]; X\\q's column is the
+    complement's.  Bit x of Phi(A) is the membership of x^-1 A, so the 2^n
+    columns joined in shift_row(x^-1) order make one plane, mask-major, and
+    the planes shifted by x sum without carries into one byte per
+    (mask, system).  Orders > 8 would overflow a byte.
+    """
+    n, count = g.order, len(bits)
+    if n > 8:
+        raise ValueError(f"batched Phi tables hold one byte per entry: order {n} > 8")
+    half = 1 << (n - 1)
+    s = "".join(map(f"{{:0{half}b}}".format, bits)).encode().translate(_BYTES01)
+    low = [s[half - 1 - q :: half] for q in range(half)]
+    cols = low + [c.translate(_NOT01) for c in reversed(low)]
+    total = 0
+    for x in range(n):
+        plane = b"".join(gather(g.shift_row(g.inv[x]))(cols))
+        total += int.from_bytes(plane, "big") << x
+    flat = total.to_bytes(count << n, "big")
+    return [flat[i::count] for i in range(count)]
+
+
+def indexed_circ(g: FiniteGroup, bits: Sequence[int]):
+    """mult(i, j) = the index of a o b in bits, for the systems a, b with
+    signatures bits[i], bits[j]; bits must be closed under circ.
 
     Phi(a o b) = Phi(a) o Phi(b), so the pair row of a o b is Phi(a)'s table
     gathered at b's pair row: one gather and one dict lookup per product.
     """
-    tables = [phi_table(s) for s in sigs]
-    half = 1 << (sigs[0].group.order - 1)
-    index = {t[:half]: i for i, t in enumerate(tables)}
+    tables = phi_tables(g, bits)
+    half = 1 << (g.order - 1)
+    index = {tuple(t[:half]): i for i, t in enumerate(tables)}
     gathers = [gather(t[:half]) for t in tables]
 
     def mult(i, j):

@@ -1,5 +1,7 @@
 """End-to-end structure analysis: structural route, brute route, cross-checks."""
 
+from math import gcd
+
 import pytest
 
 from superext.cli import parse_spec
@@ -286,6 +288,27 @@ def test_odd_reduction_types_match():
             assert cross_check(g, spec).brute.min_left_ideal_type == b.min_left_ideal_type, spec
 
 
+COPRIME_ODD_PAIRS = [
+    (spec, m)
+    for spec in catalog_specs(16)
+    for m in (3, 5, 7, 9, 15)
+    if gcd(parse_spec(spec).order, m) == 1 and parse_spec(spec).order * m <= 16
+]
+
+
+def test_coprime_odd_pairs_are_the_twelve_up_to_order_16():
+    assert len(COPRIME_ODD_PAIRS) == 12
+    assert ("C4", 3) in COPRIME_ODD_PAIRS and ("C2xC2", 3) in COPRIME_ODD_PAIRS
+
+
+@pytest.mark.parametrize("spec,m", COPRIME_ODD_PAIRS)
+def test_coprime_odd_factor_keeps_the_type(spec, m):
+    # every subgroup of X x C_m with gcd(|X|, m) = 1 is A x B, so the odd factor adds nothing
+    x = analyze_structural(parse_spec(spec), spec)
+    xm = analyze_structural(parse_spec(f"{spec}xC{m}"), f"{spec}xC{m}")
+    assert (xm.left_zero_exponent, xm.q_dict()) == (x.left_zero_exponent, x.q_dict())
+
+
 # -- minimal-ideal membership -----------------------------------------------------------------
 
 
@@ -405,7 +428,7 @@ def test_cross_check_refuses_a_budget_before_any_phi_table(monkeypatch):
     from superext import engine
     from superext.setfam import BudgetExceeded
 
-    def refuse(sigs):
+    def refuse(g, bits):
         raise AssertionError("a Phi table was built")
 
     monkeypatch.setattr(engine, "indexed_circ", refuse)

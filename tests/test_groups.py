@@ -402,6 +402,21 @@ def test_odd_subgroup_properties_catalog():
                 assert s & sub == s
 
 
+def test_odd_subgroup_builds_the_lattice_once(monkeypatch):
+    from superext import groups
+
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return all_subgroups(g)
+
+    monkeypatch.setattr(groups, "all_subgroups", counted)
+    g = make_dihedral(8)
+    assert odd_subgroup(g) == 1
+    assert len(calls) == 1
+
+
 # -- q-count consistency (subgroup census vs hom formula, abelian) -------------------------
 
 

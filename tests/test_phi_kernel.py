@@ -1,5 +1,5 @@
 """The Phi product kernel against independent definitions: phi_map mask by
-mask, and circ pair by pair."""
+mask, phi_table system by system, and circ pair by pair."""
 
 import random
 
@@ -7,7 +7,8 @@ import pytest
 
 from superext.cli import parse_spec
 from superext.engine import build_projection_idempotent, lambda_semigroup
-from superext.groups import make_cyclic
+from superext import setfam
+from superext.groups import from_cayley_document, make_cyclic, to_cayley_document
 from superext.setfam import (
     FamilyOfSets,
     circ,
@@ -17,6 +18,7 @@ from superext.setfam import (
     phi,
     phi_map,
     phi_table,
+    phi_tables,
     principal_ultrafilter,
 )
 
@@ -34,6 +36,20 @@ def random_mls(g, rng):
         if all(a & b for b in members):
             members.append(a)
     return family_to_signature(FamilyOfSets(g, frozenset(members)))
+
+
+def relabelled(spec, seed):
+    """The group of spec under a seeded renaming of its elements, loaded
+    through from_cayley_document as the benchmark loads its inputs."""
+    table = to_cayley_document(parse_spec(spec))["table"]
+    n = len(table)
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    out = [[0] * n for _ in range(n)]
+    for i, row in enumerate(table):
+        for j, v in enumerate(row):
+            out[perm[i]][perm[j]] = perm[v]
+    return from_cayley_document({"order": n, "table": out})
 
 
 # -- Phi rows ----------------------------------------------------------------------------
@@ -55,6 +71,33 @@ def test_phi_table_matches_phi_map_on_seeded_c7_systems():
         assert phi_table(sig) == phi_map(sig)
 
 
+# -- Phi tables of all systems at once ---------------------------------------------------------
+
+
+def assert_batch_matches_phi_table(g):
+    sigs = enumerate_mls(g)
+    tables = phi_tables(g, sigs.bits)
+    assert len(tables) == len(sigs)
+    for sig, t in zip(sigs, tables):
+        assert type(t) is bytes and tuple(t) == phi_table(sig), sig.bits
+
+
+@pytest.mark.parametrize("spec", ORDERS_1_TO_6)
+def test_phi_tables_match_phi_table_on_every_system(spec):
+    # C1: one system, whose pair row is one byte
+    assert_batch_matches_phi_table(parse_spec(spec))
+
+
+@pytest.mark.parametrize("spec,seed", [("C6", 1), ("C6", 2), ("D6", 1), ("D6", 2)])
+def test_phi_tables_match_phi_table_on_relabelled_groups(spec, seed):
+    assert_batch_matches_phi_table(relabelled(spec, seed))
+
+
+def test_phi_tables_refuse_order_9():
+    with pytest.raises(ValueError, match="order 9"):
+        phi_tables(make_cyclic(9), [0])
+
+
 # -- lambda products -----------------------------------------------------------------------
 
 
@@ -71,11 +114,26 @@ def test_lambda_mul_matches_circ_on_all_pairs(spec):
     _assert_mul_matches_circ(sem, [(i, j) for i in range(sem.size) for j in range(sem.size)])
 
 
-@pytest.mark.parametrize("spec", ["C6", "D6"])
-def test_lambda_mul_matches_circ_on_seeded_pairs(spec):
-    sem = lambda_semigroup(parse_spec(spec))
+@pytest.mark.parametrize("spec,seed", [("C6", None), ("D6", None), ("D6", 3)], ids=["C6", "D6", "D6-relabelled"])
+def test_lambda_mul_matches_circ_on_seeded_pairs(spec, seed):
+    g = parse_spec(spec) if seed is None else relabelled(spec, seed)
+    sem = lambda_semigroup(g)
     rng = random.Random(spec)
     _assert_mul_matches_circ(sem, [(rng.randrange(sem.size), rng.randrange(sem.size)) for _ in range(2000)])
+
+
+def test_lambda_build_uses_no_per_system_table(monkeypatch):
+    def refuse(sig):
+        raise AssertionError("a Phi table was built one system at a time")
+
+    monkeypatch.setattr(setfam, "pair_row", refuse)
+    monkeypatch.setattr(setfam, "phi_table", refuse)
+    sem = lambda_semigroup(make_cyclic(6))
+    pairs = [(0, 0), (1, 2), (17, 2645), (2645, 17), (1000, 1000)]
+    products = [sem.mul(i, j) for i, j in pairs]
+    monkeypatch.undo()
+    _assert_mul_matches_circ(sem, pairs)
+    assert products == [sem.mul(i, j) for i, j in pairs]
 
 
 # -- pair rows with 16-bit fields (orders 9 to 16) --------------------------------------------
