@@ -153,8 +153,9 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, FileNotFoundError) as exc:
-        # SpecError, GroupValidationError and JSONDecodeError are ValueErrors
+    except (ValueError, OSError) as exc:
+        # SpecError, GroupValidationError and JSONDecodeError are ValueErrors;
+        # OSError covers a missing or unreadable file and a directory
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except RuntimeError as exc:

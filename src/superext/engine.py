@@ -16,14 +16,13 @@ from .groups import (
     InvariantError,
     MAX_PIPELINE_ORDER,
     make_cq_product,
-    mask_elements,
     orbits,
     parse_spec,
     spec_order,
     subtable,
 )
 from .setfam import (
-    MAX_ENUM_ORDER, MlsSignature, circ, enumerate_mls, indexed_circ, phi_table
+    MAX_ENUM_ORDER, MlsSignature, circ, enumerate_mls, indexed_circ, phi_inverse, phi_table
 )
 from .twin import (
     CogroupOrbit,
@@ -267,10 +266,9 @@ def build_projection_idempotent(g: FiniteGroup) -> MlsSignature:
     selector twin set of the smallest maximal 2-cogroup containing Fix-(a),
     read off the group's Fix- table; non-twin sets get empty/full values
     from a greedily completed maximal invariant linked family.
-    The map is certified by the representation theorem: it equals Phi of
-    the signature read off its low half (so it is equivariant and
-    symmetric) and is monotone, so that signature is maximal linked; then
-    it is checked to be idempotent.  Any failure is a hard error.
+    The map is certified by setfam.phi_inverse, the representation
+    theorem's inverse, and then checked to be idempotent.  Any failure is
+    a hard error.
     """
     if g.order > MAX_PIPELINE_ORDER:
         raise ValueError(f"projection idempotent construction capped at order {MAX_PIPELINE_ORDER}")
@@ -314,17 +312,10 @@ def build_projection_idempotent(g: FiniteGroup) -> MlsSignature:
         for b in orbit:
             e_map[b] = v
 
-    half = 1 << (n - 1)
-    sig = MlsSignature(g, sum(1 << p for p in range(half) if e_map[p] & 1))
-    if phi_table(sig) != tuple(e_map):
-        raise InvariantError("constructed projection is not Phi of its own family")
-    # monotone on covering pairs is monotone; with the equality above, the
-    # representation theorem makes sig maximal linked
-    for a in range(full + 1):
-        for x in mask_elements(full ^ a):
-            b = a | 1 << x
-            if e_map[a] & ~e_map[b]:
-                raise InvariantError(f"projection not monotone at {a} <= {b}")
+    try:
+        sig = phi_inverse(e_map, g)
+    except ValueError as exc:
+        raise InvariantError(f"constructed projection is not in Enl(P(X)): {exc}") from exc
     if circ(sig, sig).bits != sig.bits:
         raise InvariantError("constructed projection is not idempotent")
     return sig

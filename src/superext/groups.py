@@ -98,18 +98,19 @@ class FiniteGroup:
             k += 1
         return k
 
-    def _cache(self, key, fn):
+    def memo(self, key, fn):
+        """fn(), computed once per group and kept under key."""
         if key not in self._caches:
             self._caches[key] = fn()
         return self._caches[key]
 
     @property
     def element_orders(self) -> tuple[int, ...]:
-        return self._cache("orders", lambda: tuple(self.element_order(x) for x in range(self.order)))
+        return self.memo("orders", lambda: tuple(self.element_order(x) for x in range(self.order)))
 
     @property
     def is_abelian(self) -> bool:
-        return self._cache("abelian", lambda: self.center_mask() == self.full_mask())
+        return self.memo("abelian", lambda: self.center_mask() == self.full_mask())
 
     def center_mask(self) -> int:
         m = 0
@@ -126,7 +127,7 @@ class FiniteGroup:
                     gens.add(self.table[self.table[self.table[a][b]][self.inv[a]]][self.inv[b]])
             return subgroup_closure(self, mask_from_elements(gens))
 
-        return self._cache("derived", build)
+        return self.memo("derived", build)
 
     # -- subset masks ---------------------------------------------------------
 
@@ -139,11 +140,9 @@ class FiniteGroup:
         if row is None:
             if self.order > MAX_PIPELINE_ORDER:
                 raise ValueError("shift tables only built for order <= 16")
-            perm = self.table[x]
-            row = [0] * (1 << self.order)
-            for m in range(1, 1 << self.order):
-                low = m & -m
-                row[m] = row[m ^ low] | (1 << perm[low.bit_length() - 1])
+            row = [0]  # doubled per element i: masks with bit i gain x*i
+            for y in self.table[x]:
+                row += [r | 1 << y for r in row]
             self._shift_rows[x] = row
         return row
 
@@ -338,7 +337,11 @@ def from_cayley_document(document: dict) -> FiniteGroup:
 
 def from_cayley_file(path) -> FiniteGroup:
     with open(path, "r", encoding="utf-8") as fh:
-        return from_cayley_document(json.load(fh))
+        try:
+            document = json.load(fh)
+        except RecursionError:  # a RuntimeError, which the CLI would report as an invariant failure
+            raise GroupValidationError("shape", f"{path}: JSON nesting is too deep") from None
+    return from_cayley_document(document)
 
 
 def to_cayley_document(g: FiniteGroup) -> dict:

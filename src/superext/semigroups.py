@@ -1,5 +1,5 @@
 """Generic finite-semigroup machinery: idempotents, minimal ideals, Rees
-decomposition, endomorphism monoids of twin-set acts, and wreath products."""
+decomposition, and endomorphism monoids of twin-set acts."""
 
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ from .twin import TkData, TwoCogroup, twin_sets_for
 
 _EXHAUSTIVE_ASSOC_MAX = 64
 _END_TK_MAX = 4096
-_WREATH_MAX = 10**6
 
 
 class FiniteSemigroup:
@@ -195,28 +194,6 @@ def idempotent_image_orbits(sem: FiniteSemigroup, tk: TkData, i: int) -> int:
 def expected_unit_group_size(tk: TkData, image_orbits: int) -> int:
     h_order = len(tk.twin_masks) // tk.orbit_count
     return (h_order**image_orbits) * factorial(image_orbits)
-
-
-# -- wreath products --------------------------------------------------------------------
-
-
-def wreath_product(h: FiniteGroup, a_size: int) -> FiniteSemigroup:
-    """H wr A^A: pairs (h-vector over A, self-map of A) with twisted product."""
-    total = (h.order**a_size) * (a_size**a_size)
-    if total > _WREATH_MAX:
-        raise ValueError(f"wreath product size {total} exceeds budget {_WREATH_MAX}")
-    vectors = list(iter_product(range(h.order), repeat=a_size))
-    selfmaps = list(iter_product(range(a_size), repeat=a_size))
-    elements = [(v, f) for v in vectors for f in selfmaps]
-    index = {e: i for i, e in enumerate(elements)}
-
-    def mult(i, j):
-        (hv, f), (hv2, f2) = elements[i], elements[j]
-        comb = tuple(f[f2[a]] for a in range(a_size))
-        vec = tuple(h.table[hv[f2[a]]][hv2[a]] for a in range(a_size))
-        return index[(vec, comb)]
-
-    return FiniteSemigroup(len(elements), mult, labels=elements)
 
 
 # -- isomorphism testing -----------------------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from operator import index as int_index
 
-from .groups import FiniteGroup, gather
+from .groups import FiniteGroup, gather, mask_elements
 
 MAX_ENUM_ORDER = 6
 MAX_ENUM_ORDER_WITH_BUDGET = 7
@@ -35,14 +35,6 @@ class BudgetExceeded(RuntimeError):
     def __init__(self, budget: int):
         super().__init__(f"budget exceeded: lambda has more than {budget} systems")
         self.budget = budget
-
-
-class EquivarianceError(ValueError):
-    """A map failed f(xA) = x f(A); carries a witness (x, mask) pair."""
-
-    def __init__(self, witness):
-        super().__init__(f"map is not equivariant at (x, A) = {witness}")
-        self.witness = witness
 
 
 @dataclass(frozen=True, slots=True)
@@ -192,7 +184,7 @@ def enumerate_mls(g: FiniteGroup, order: str = "descending", budget: int | None 
     _check_order(g.order, budget)
     if budget is not None and count_mls(g, budget) > budget:
         raise BudgetExceeded(budget)
-    return MlsSequence(g, g._cache(("mls_enum", order), lambda: _enumerate_bits(g.order, order)))
+    return MlsSequence(g, g.memo(("mls_enum", order), lambda: _enumerate_bits(g.order, order)))
 
 
 def count_mls(g: FiniteGroup, budget: int | None = None) -> int:
@@ -200,7 +192,7 @@ def count_mls(g: FiniteGroup, budget: int | None = None) -> int:
     memo lemma there, the count below a node depends on U alone, so every
     U is memoized.  The budget only gates the order, as in enumerate_mls."""
     _check_order(g.order, budget)
-    return g._cache("mls_count", lambda: _count_bits(g.order))
+    return g.memo("mls_count", lambda: _count_bits(g.order))
 
 
 def _search_tables(n: int, order: str):
@@ -313,7 +305,7 @@ def pair_row(sig: MlsSignature) -> tuple[int, ...]:
         rows = [g.shift_row(g.inv[x])[:half] for x in reversed(range(n))]
         return gather([i for col in zip(*rows) for i in pad + list(col)])
 
-    fields = g._cache("phi_fields", index)
+    fields = g.memo("phi_fields", index)
     raw = int("".join(fields(_membership(sig) + "0")), 2).to_bytes(half * width // 8, "big")
     return tuple(raw) if width == 8 else struct.unpack(f">{half}H", raw)
 
@@ -390,20 +382,25 @@ def indexed_circ(g: FiniteGroup, bits: Sequence[int]):
     return mult
 
 
-def phi_inverse(f, group: FiniteGroup) -> FamilyOfSets:
-    """Family {A : e in f(A)} for an equivariant self-map of the power set.
+def phi_inverse(f: Sequence[int], g: FiniteGroup) -> MlsSignature:
+    """The system a with Phi(a) = f, for f in Enl(P(X)) given as a sequence
+    indexed by mask: the representation theorem's inverse.
 
-    f may be a sequence or mapping indexed by mask.  Non-equivariant input
-    is rejected with a witness pair.
+    Pair p is a member of a iff the identity lies in f(p).  Phi(a) = f
+    holds iff f is equivariant and symmetric; f monotone on covering pairs
+    is monotone, so a is upward closed, and a self-dual upward-closed
+    family is maximal linked.  ValueError names the first property that
+    fails.
     """
-    full = group.full_mask()
+    full = g.full_mask()
+    sig = MlsSignature(g, sum(1 << p for p in range(1 << (g.order - 1)) if f[p] & 1))
+    if phi_table(sig) != tuple(f):
+        raise ValueError("map is not Phi of a system: not equivariant or not symmetric")
     for a in range(full + 1):
-        fa = f[a]
-        for x in range(group.order):
-            if f[group.shift_mask(x, a)] != group.shift_mask(x, fa):
-                raise EquivarianceError((x, a))
-    members = frozenset(a for a in range(full + 1) if f[a] & 1)
-    return FamilyOfSets(group, members)
+        for x in mask_elements(full ^ a):
+            if f[a] & ~f[a | 1 << x]:
+                raise ValueError(f"map is not monotone at {a} <= {a | 1 << x}")
+    return sig
 
 
 # -- stream format -----------------------------------------------------------------

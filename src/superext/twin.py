@@ -72,7 +72,7 @@ def fix_minus_table(g: FiniteGroup) -> tuple[int, ...]:
                     table[a] |= 1 << x
         return tuple(table)
 
-    return g._cache("fix_minus", build)
+    return g.memo("fix_minus", build)
 
 
 def is_twin(g: FiniteGroup, a: int) -> bool:
@@ -113,7 +113,7 @@ def cogroup_orbits(g: FiniteGroup) -> list[CogroupOrbit]:
             out.append(CogroupOrbit(representative=members[0], members=members, characteristic_type=tag))
         return out
 
-    return g._cache("cogroup_orbits", build)
+    return g.memo("cogroup_orbits", build)
 
 
 # -- characteristic groups ----------------------------------------------------------

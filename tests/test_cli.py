@@ -284,6 +284,23 @@ def test_missing_file_is_input_error(capsys):
     assert code == EXIT_INPUT
 
 
+def test_directory_as_input_file_is_input_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "analyze", f"file:{tmp_path}")
+    assert code == EXIT_INPUT and out == "" and err.startswith("error: ")
+
+
+def test_directory_as_output_file_is_input_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "mls-count", "C3", "--out", str(tmp_path))
+    assert code == EXIT_INPUT and out == "count=4 partial=false\n" and err.startswith("error: ")
+
+
+def test_deeply_nested_document_is_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(capsys, "analyze", f"file:{path}")
+    assert code == EXIT_INPUT and out == "" and err.startswith("error: ")
+
+
 @pytest.mark.parametrize(
     "document",
     [

@@ -16,6 +16,7 @@ from superext.groups import (
     direct_product,
     fg_abelian_q,
     from_cayley_document,
+    from_cayley_file,
     group_isomorphic,
     hom_count_to_cyclic2,
     invariant_factors,
@@ -558,6 +559,26 @@ def test_shift_mask_above_the_shift_table_order():
     for call in (lambda: g.shift_row(1), lambda: g.shift_mask(1, evens), lambda: fix_operators(g, evens)):
         with pytest.raises(ValueError, match="order <= 16"):
             call()
+
+
+@pytest.mark.parametrize("spec", ["C12", "D16", "Q16"])
+def test_shift_row_is_the_elementwise_product(spec):
+    g = parse_spec(spec)
+    rng = random.Random(spec)
+    for x in range(g.order):
+        row = g.shift_row(x)
+        assert len(row) == 1 << g.order
+        for m in [0, g.full_mask()] + rng.sample(range(1 << g.order), 64):
+            assert row[m] == mask_from_elements(g.mul(x, a) for a in mask_elements(m)), (spec, x, m)
+
+
+def test_deeply_nested_file_is_a_shape_error(tmp_path):
+    # json.load raises RecursionError here, a RuntimeError the CLI would call an invariant failure
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(GroupValidationError) as exc:
+        from_cayley_file(path)
+    assert exc.value.kind == "shape" and "too deep" in str(exc.value)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Idempotents, minimal ideals, Rees decomposition, End(T_K), wreath products."""
+"""Idempotents, minimal ideals, Rees decomposition, End(T_K)."""
 
 import random
 
@@ -28,7 +28,6 @@ from superext.semigroups import (
     rees_decompose,
     semigroup_isomorphic,
     validate_associativity,
-    wreath_product,
 )
 from superext.twin import characteristic_group, maximal_2cogroups
 
@@ -267,41 +266,6 @@ def test_end_tk_unit_groups_are_wreath_sized():
             s = idempotent_image_orbits(sem, tk, e)
             h, _ = maximal_subgroup(sem, e)
             assert h.order == expected_unit_group_size(tk, s), (spec, e)
-
-
-# -- wreath products ---------------------------------------------------------------------------
-
-
-def test_wreath_with_singleton_is_the_group():
-    h = make_cyclic(4)
-    sem = wreath_product(h, 1)
-    assert semigroup_isomorphic(sem, FiniteSemigroup.from_table(h.table)) is True
-
-
-def test_wreath_size():
-    assert wreath_product(make_cyclic(2), 2).size == 16
-
-
-def test_wreath_budget():
-    with pytest.raises(ValueError):
-        wreath_product(make_cyclic(4), 8)
-
-
-def test_wreath_matches_end_tk():
-    # an End(T_K) with two orbits and C2 characteristic group: D8 bottom level
-    g = parse_spec("D8")
-    k = next(
-        k
-        for k in maximal_2cogroups(g)
-        if k.members.bit_count() == 2 and (k.stab.bit_count() // k.kk.bit_count()) == 2
-    )
-    sem, tk = end_tk(k)
-    assert tk.orbit_count == 2
-    assert semigroup_isomorphic(sem, wreath_product(make_cyclic(2), 2)) is True
-
-
-def test_wreath_associativity():
-    validate_associativity(wreath_product(make_cyclic(2), 3), samples=5_000, seed=3)
 
 
 # -- semigroup isomorphism ------------------------------------------------------------------------

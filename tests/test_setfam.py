@@ -26,7 +26,6 @@ from superext.setfam import (
     principal_ultrafilter,
     read_mls_stream,
     write_mls_stream,
-    EquivarianceError,
 )
 
 SMALL = ["C1", "C2", "C3", "C4", "C2xC2"]
@@ -294,29 +293,47 @@ def test_phi_is_injective_on_lambda():
         assert len(maps) == len(enumerate_mls(g))
 
 
+def test_phi_inverse_inverts_phi_on_every_family_through_order_3():
+    # Phi of any family is equivariant; it is symmetric and monotone exactly
+    # when the family is self-dual and upward closed, i.e. maximal linked
+    for spec in ("C1", "C2", "C3"):
+        g = parse_spec(spec)
+        subsets = range(g.full_mask() + 1)
+        for choice in range(1 << len(subsets)):
+            fam = FamilyOfSets(g, frozenset(a for a in subsets if choice >> a & 1))
+            if is_maximal_linked(fam):
+                assert phi_inverse(phi_map(fam), g) == family_to_signature(fam), (spec, choice)
+            else:
+                with pytest.raises(ValueError):
+                    phi_inverse(phi_map(fam), g)
+
+
 def test_phi_inverse_round_trip():
-    g = make_cyclic(4)
-    for sig in enumerate_mls(g):
-        fam = phi_inverse(phi_map(sig), g)
-        assert fam.members == sig.to_family().members
+    for spec in ("C4", "C2xC2", "D6"):
+        g = parse_spec(spec)
+        for sig in enumerate_mls(g):
+            assert phi_inverse(phi_map(sig), g).bits == sig.bits, spec
 
 
 def test_phi_inverse_of_identity_map():
     g = make_cyclic(4)
-    fam = phi_inverse(tuple(range(16)), g)
-    assert fam.members == principal_ultrafilter(g, 0).to_family().members
+    assert phi_inverse(tuple(range(16)), g).bits == principal_ultrafilter(g, 0).bits
 
 
 def test_phi_inverse_equivariance_gate():
     g = make_cyclic(4)
-    # constant at the full set is genuinely equivariant and must be accepted
-    fam = phi_inverse(tuple(g.full_mask() for _ in range(16)), g)
-    assert fam.members == frozenset(range(16))
-    # constant at a proper subset is not equivariant: rejected with a witness
-    with pytest.raises(EquivarianceError) as exc:
-        phi_inverse(tuple(0b0011 for _ in range(16)), g)
-    x, a = exc.value.witness
-    assert g.shift_mask(x, 0b0011) != 0b0011
+    # constant X is equivariant but not symmetric; constant {0, 1} is not equivariant
+    for value in (g.full_mask(), 0b0011):
+        with pytest.raises(ValueError, match="not equivariant or not symmetric"):
+            phi_inverse((value,) * 16, g)
+
+
+def test_phi_inverse_monotone_gate():
+    g = make_cyclic(4)
+    # Phi of a self-dual selector holding the disjoint {0} and {1}: equivariant
+    # and symmetric, but not monotone
+    with pytest.raises(ValueError, match="not monotone"):
+        phi_inverse(phi_map(MlsSignature(g, 0b0110)), g)
 
 
 # -- stream format -----------------------------------------------------------------------------
