@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from .groups import GRAMMAR, parse_spec
 from .setfam import BudgetExceeded, count_mls, enumerate_mls, write_mls_stream
@@ -112,9 +113,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def _budget(text: str) -> int:
+def _ascii_count(name: str, text: str) -> int:
     if not (text.isascii() and text.isdigit()):  # int() also takes +81, 8_1, " 81" and Arabic-Indic digits
-        raise argparse.ArgumentTypeError(f"budget must be a non-negative integer, got {text!r}")
+        raise argparse.ArgumentTypeError(f"{name} must be a non-negative integer, got {text!r}")
     return int(text)
 
 
@@ -129,8 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("spec", help=GRAMMAR)
     p_an.add_argument("--brute", action="store_true", help="also run the brute-force route and cross-check")
     p_an.add_argument("--json", action="store_true")
-    p_an.add_argument("--budget", type=_budget, default=None, help="enumeration budget (systems); --brute only")
-    p_an.add_argument("--seed", type=int, default=None, help="seed for sampled invariant checks (default 0); --brute only")
+    p_an.add_argument("--budget", type=partial(_ascii_count, "budget"), default=None, help="enumeration budget (systems); --brute only")
+    p_an.add_argument("--seed", type=partial(_ascii_count, "seed"), default=None, help="seed for sampled invariant checks (default 0); --brute only")
     p_an.set_defaults(run=lambda a: cmd_analyze(a.spec, a.brute, a.json, a.budget, a.seed))
 
     p_tab = sub.add_parser("table", help="reproduce the reference table of small groups")
@@ -140,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mls = sub.add_parser("mls-count", help="count maximal linked systems")
     p_mls.add_argument("spec", help=GRAMMAR)
     p_mls.add_argument("--out", default=None, help="write the signature stream to this file")
-    p_mls.add_argument("--budget", type=_budget, default=None)
+    p_mls.add_argument("--budget", type=partial(_ascii_count, "budget"), default=None)
     p_mls.set_defaults(run=lambda a: cmd_mls_count(a.spec, a.out, a.budget))
 
     return parser

@@ -182,12 +182,13 @@ class CrossCheck:
 
 
 def cross_check(g: FiniteGroup, name: str = "?", budget: int | None = None) -> CrossCheck:
-    """The brute route's entry point: builds lambda(g), its minimal left ideal and
-    Rees decomposition once, and certifies the structural type against that ideal."""
+    """The brute route's entry point: proves lambda(g)'s minimal left ideal L once; the
+    Rees step (L is left simple) and the isomorphism certificate read one table of L."""
     structural = analyze_structural(g, name)
     sem = lambda_semigroup(g, budget=budget)
     ideal = minimal_left_ideal(sem)
-    rees = rees_decompose(sem, ideal)
+    brute_ideal = FiniteSemigroup.from_table(subtable(sem.mul, sorted(ideal)))
+    rees = rees_decompose(brute_ideal, frozenset(range(brute_ideal.size)))
     count = rees.left_zero_count
     if count & (count - 1):
         raise InvariantError("idempotent count of a minimal left ideal is not a power of two")
@@ -196,7 +197,6 @@ def cross_check(g: FiniteGroup, name: str = "?", budget: int | None = None) -> C
         name, tuple(sorted(q.items())), count.bit_length() - 1, provenance="brute",
         notes=(f"superextension size {sem.size}, minimal left ideal size {len(ideal)}",),
     )
-    brute_ideal = FiniteSemigroup.from_table(subtable(sem.mul, sorted(ideal)))
     model = build_type_semigroup(structural.left_zero_exponent, structural.q_dict())
     iso = semigroup_isomorphic(brute_ideal, model)
     types_equal = (

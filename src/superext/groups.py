@@ -701,13 +701,13 @@ class SpecError(ValueError):
         self.position = position
 
 
-_ATOM_RE = re.compile(r"([CDQ])(\d+)$")
+_ATOM_RE = re.compile(r"([CDQ])([0-9]+)")  # fullmatch: \d takes any Unicode digit, $ a final newline
 
 
 def _make_atom(token: str, position: int) -> FiniteGroup:
     if token == "A4":
         return make_alternating4()
-    m = _ATOM_RE.match(token)
+    m = _ATOM_RE.fullmatch(token)
     if not m:
         raise SpecError(f"bad token {token!r} at position {position}; expected {GRAMMAR}", position)
     letter, num = m.group(1), int(m.group(2))

@@ -120,14 +120,11 @@ def maximal_subgroup(s: FiniteSemigroup, e: int) -> tuple[FiniteGroup, list[int]
 class ReesDecomposition:
     left_zero_count: int
     group: FiniteGroup = field(compare=False)
-    idempotent_elements: tuple[int, ...] = ()
 
 
 def rees_decompose(s: FiniteSemigroup, ideal: frozenset[int]) -> ReesDecomposition:
-    """Split a minimal left ideal as (left zeros) x (maximal subgroup)."""
-    for y in ideal:
-        if left_ideal(s, y) != ideal:
-            raise ValueError("input is not a minimal left ideal")
+    """Split a minimal left ideal as (left zeros) x (maximal subgroup).
+    `ideal` must be one, as minimal_left_ideal proves: it is not checked here."""
     idems = sorted(x for x in ideal if s.mul(x, x) == x)
     if not idems:
         raise InvariantError("minimal left ideal without idempotents: broken multiplication")
@@ -141,7 +138,7 @@ def rees_decompose(s: FiniteSemigroup, ideal: frozenset[int]) -> ReesDecompositi
     # with the sizes equal, z*h covering the ideal makes (z, h) -> z*h a bijection
     if {s.mul(z, h) for z in idems for h in helems} != ideal:
         raise InvariantError("the Rees products z*h are not a bijection onto the ideal")
-    return ReesDecomposition(left_zero_count=len(idems), group=hgroup, idempotent_elements=tuple(idems))
+    return ReesDecomposition(left_zero_count=len(idems), group=hgroup)
 
 
 # -- endomorphism monoid of the twin-set act -------------------------------------------

@@ -114,8 +114,11 @@ def test_analyze_json_round_trip(capsys):
 
 
 def test_analyze_rejects_bad_spec(capsys):
-    code, _, err = run_cli(capsys, "analyze", "Z9")
-    assert code == EXIT_INPUT and "error" in err
+    # a token takes ASCII digits only (not Arabic-Indic ones) and no trailing newline
+    for spec in ("Z9", "C\u0663", "Q\u0668", "C2\n"):
+        code, out, err = run_cli(capsys, "analyze", spec)
+        assert code == EXIT_INPUT and out == "", spec
+        assert f"error: bad token {spec!r} at position 0" in err, spec
 
 
 def test_analyze_rejects_order_above_pipeline_cap(capsys):
@@ -216,11 +219,14 @@ def usage_exit(capsys, *argv):
 
 
 def test_non_integer_budget_is_input_error(capsys):
-    # int() takes the first four: a sign, an underscore, blanks and non-ASCII digits
-    for text in ("+81", "8_1", " 81", "\u0668\u0661", "abc"):
-        code, out, err = usage_exit(capsys, "mls-count", "C3", "--budget", text)
-        assert code == EXIT_INPUT and out == "" and "--budget" in err, text
-        assert f"budget must be a non-negative integer, got {text!r}" in err, text
+    # int() takes the first four: a sign, an underscore, blanks and non-ASCII digits;
+    # --seed takes the same ASCII digits as --budget
+    for command in (("mls-count", "C3", "--budget"), ("analyze", "C4", "--brute", "--seed")):
+        for text in ("+81", "8_1", " 81", "\u0668\u0661", "abc", "-1"):
+            code, out, err = usage_exit(capsys, *command, text)
+            assert code == EXIT_INPUT and out == "" and command[-1] in err, (command, text)
+            message = f"{command[-1][2:]} must be a non-negative integer, got {text!r}"
+            assert message in err, (command, text)
 
 
 def test_missing_spec_is_input_error(capsys):

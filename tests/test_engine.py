@@ -31,7 +31,7 @@ from superext.groups import (
     quotient,
 )
 from superext.setfam import circ, enumerate_mls, phi
-from superext.semigroups import minimal_ideal, minimal_left_ideal
+from superext.semigroups import FiniteSemigroup, minimal_ideal, minimal_left_ideal
 from superext.twin import cogroup_orbits, twin_sets_for
 
 
@@ -443,3 +443,28 @@ def test_lambda_semigroup_is_fresh_after_cross_check():
     check = cross_check(g)
     assert check.verdict == "agree"
     assert lambda_semigroup(g) is not check.semigroup
+
+
+@pytest.mark.parametrize("spec", ["C4", "C2xC2", "C6", "D6"])
+def test_cross_check_proves_the_minimal_left_ideal_once(monkeypatch, spec):
+    # one proof of L takes (2 + |L|)*|lambda| products and one table of L |L|^2;
+    # a second proof, or a Rees step reading lambda's product, would add about |L|*|lambda|
+    from superext import engine
+
+    real_lambda, calls = engine.lambda_semigroup, [0]
+
+    def counting_lambda(g, budget=None):
+        sem = real_lambda(g, budget=budget)
+
+        def mul(i, j):
+            calls[0] += 1
+            return sem.mul(i, j)
+
+        return FiniteSemigroup(sem.size, mul, labels=sem.labels)
+
+    monkeypatch.setattr(engine, "lambda_semigroup", counting_lambda)
+    check = cross_check(parse_spec(spec), spec)
+    products = calls[0]
+    size, ideal_size = check.semigroup.size, len(minimal_left_ideal(check.semigroup))
+    assert check.verdict == "agree"
+    assert products <= (2 + ideal_size) * size + ideal_size**2, (products, size, ideal_size)

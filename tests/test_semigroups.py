@@ -180,22 +180,6 @@ def test_rees_group_alone():
     assert rees.left_zero_count == 1 and group_isomorphic(rees.group, make_cyclic(6))
 
 
-def test_rees_rejects_non_minimal_ideal():
-    sem = lambda_semigroup(make_cyclic(3))
-    with pytest.raises(ValueError):
-        rees_decompose(sem, frozenset(range(sem.size)))
-
-
-def test_rees_idempotents_left_zero():
-    g = make_cyclic(4)
-    sem = lambda_semigroup(g)
-    ideal = minimal_left_ideal(sem)
-    rees = rees_decompose(sem, ideal)
-    for a in rees.idempotent_elements:
-        for b in rees.idempotent_elements:
-            assert sem.mul(a, b) == a
-
-
 # -- End(T_K) ----------------------------------------------------------------------------------
 
 
