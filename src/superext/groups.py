@@ -1,10 +1,10 @@
 """Finite groups as validated Cayley tables.
 
 Every group lives on the index set 0..n-1 with the identity pinned at
-index 0; constructors and the file loader renumber to enforce this, which
-keeps every downstream mask formula free of an identity offset.  Subsets
-of a group are plain ints used as bit masks (bit i set <=> element i in
-the subset).
+index 0; FiniteGroup validates a table as given and then moves its
+identity there, which keeps every downstream mask formula free of an
+identity offset.  Subsets of a group are plain ints used as bit masks
+(bit i set <=> element i in the subset).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from operator import itemgetter
 
 MAX_PIPELINE_ORDER = 16
 MAX_GROUP_ORDER = 64
+MAX_DOCUMENT_CHARS = 1 << 20  # a Cayley document of order 64 with names is under 50 KB
 
 
 class GroupValidationError(ValueError):
@@ -40,15 +41,23 @@ class InvariantError(RuntimeError):
 
 
 class FiniteGroup:
-    """Immutable group on 0..n-1 given by its full multiplication table."""
+    """Immutable group on 0..n-1 given by its full multiplication table,
+    validated as given (so witnesses are in the caller's indices); then the
+    identity is swapped to index 0, names with it: renumbering[new] = old."""
 
     def __init__(self, table, names=None):
         check_shape(table, len(table))
         self.table = tuple(map(tuple, table))
-        self.order = len(self.table)
-        self.names = tuple(names) if names is not None else None
-        self.renumbering = None  # set by the file loader when it permutes indices
-        self._validate()
+        self.order = n = len(self.table)
+        if names is not None and len(names) != n:
+            raise GroupValidationError("shape", "names length does not match order")
+        e = self._validate()
+        old = list(range(n))
+        old[0], old[e] = e, 0
+        if e:
+            self.table = tuple(map(tuple, subtable(self.mul, old)))
+        self.names = tuple(names[i] for i in old) if names is not None else None
+        self.renumbering = tuple(old)
         # x*y = 0 for the one y in row x (a permutation), and then
         # (y*x)*y = y*(x*y) = 0*y forces y*x = 0 (column y is a permutation)
         self.inv = tuple(row.index(0) for row in self.table)
@@ -57,10 +66,9 @@ class FiniteGroup:
 
     # -- construction-time validation -------------------------------------
 
-    def _validate(self) -> None:
+    def _validate(self) -> int:
+        """The identity's index, once the table passes every axiom."""
         n, t = self.order, self.table
-        if self.names is not None and len(self.names) != n:
-            raise GroupValidationError("shape", "names length does not match order")
         columns = list(zip(*t))
         for i in range(n):
             if len(set(t[i])) != n:
@@ -68,12 +76,14 @@ class FiniteGroup:
             if len(set(columns[i])) != n:
                 raise GroupValidationError("latin_square", f"column {i} is not a permutation", witness=i)
         ident = tuple(range(n))
-        if t[0] != ident or columns[0] != ident:
-            raise GroupValidationError("identity", "index 0 is not a two-sided identity")
+        e = columns[0].index(0)  # an identity e has e*0 = 0, and column 0 holds 0 once
+        if t[e] != ident or columns[e] != ident:
+            raise GroupValidationError("identity", "no element is a two-sided identity")
         witness = associativity_witness(t)
         if witness is not None:
             i, j, k = witness
             raise GroupValidationError("associativity", f"({i}*{j})*{k} != {i}*({j}*{k})", witness=witness)
+        return e
 
     # -- basic arithmetic ---------------------------------------------------
 
@@ -296,51 +306,31 @@ def make_cq_product(q) -> FiniteGroup:
 
 
 def from_cayley_document(document: dict) -> FiniteGroup:
-    """Validate a {"order", "table", "names"?} JSON object into a FiniteGroup.
-
-    The loader checks the document's shape, renumbers so the identity sits
-    at index 0, and leaves the group axioms to FiniteGroup.  It records the
-    applied permutation on the returned group (``renumbering[new] = old``).
-    """
+    """A {"order", "table", "names"?} JSON object as a FiniteGroup: the loader
+    checks the document's shape, FiniteGroup the table in the document's indices."""
     if not isinstance(document, dict) or "order" not in document or "table" not in document:
         raise GroupValidationError("shape", 'document must contain "order" and "table"')
     n = document["order"]
     table = document["table"]
-    if type(n) is not int or n < 1:  # bool is an int subclass
-        raise GroupValidationError("shape", "order must be a positive integer")
-    if n > MAX_GROUP_ORDER:
-        raise GroupValidationError("shape", f"order {n} exceeds cap {MAX_GROUP_ORDER}")
-    check_shape(table, n)
+    if type(n) is not int or not 1 <= n <= MAX_GROUP_ORDER:  # bool is an int subclass
+        raise GroupValidationError("shape", f"order must be an integer from 1 to {MAX_GROUP_ORDER}")
+    if not isinstance(table, list) or len(table) != n:
+        raise GroupValidationError("shape", f"table is not a list of {n} rows")
     names = document.get("names")
-    if names is not None and (not isinstance(names, list) or len(names) != n):
-        raise GroupValidationError("shape", f"names must be a list of {n} names")
-    # the first two-sided identity, if any; FiniteGroup rejects a table without one
-    e = next((e for e in range(n) if all(table[e][j] == j and table[j][e] == j for j in range(n))), 0)
-    # renumber: swap identity to index 0
-    old_order = list(range(n))
-    if e != 0:
-        old_order[0], old_order[e] = e, 0
-    new_table = subtable(lambda a, b: table[a][b], old_order)
-    new_names = [names[old] for old in old_order] if names is not None else None
-    try:
-        group = FiniteGroup(new_table, names=new_names)
-    except GroupValidationError as exc:
-        # report the witness in document indices
-        if isinstance(exc.witness, tuple):
-            exc.witness = tuple(old_order[i] for i in exc.witness)
-        elif exc.witness is not None:
-            exc.witness = old_order[exc.witness]
-        raise
-    group.renumbering = tuple(old_order)
-    return group
+    if names is not None and not (isinstance(names, list) and all(type(x) is str for x in names)):
+        raise GroupValidationError("shape", "names must be a list of strings")
+    return FiniteGroup(table, names)
 
 
 def from_cayley_file(path) -> FiniteGroup:
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            document = json.load(fh)
-        except RecursionError:  # a RuntimeError, which the CLI would report as an invariant failure
-            raise GroupValidationError("shape", f"{path}: JSON nesting is too deep") from None
+        text = fh.read(MAX_DOCUMENT_CHARS + 1)  # bounded: file:/dev/zero must not exhaust memory
+    if len(text) > MAX_DOCUMENT_CHARS:
+        raise GroupValidationError("shape", f"{path}: document exceeds {MAX_DOCUMENT_CHARS} characters")
+    try:
+        document = json.loads(text)
+    except RecursionError:  # a RuntimeError, which the CLI would report as an invariant failure
+        raise GroupValidationError("shape", f"{path}: JSON nesting is too deep") from None
     return from_cayley_document(document)
 
 

@@ -1,0 +1,27 @@
+"""Fixtures shared by the test modules."""
+
+import pytest
+
+from superext.groups import from_cayley_document
+
+
+def _relabelled(g, rng):
+    """(h, to_g): g with every element renamed at random, the identity
+    included, loaded through from_cayley_document as the benchmark loads its
+    inputs, and the map from h's elements back to g's."""
+    n = g.order
+    perm = list(range(n))
+    rng.shuffle(perm)
+    out = [[0] * n for _ in range(n)]
+    for i, row in enumerate(g.table):
+        for j, v in enumerate(row):
+            out[perm[i]][perm[j]] = perm[v]
+    h = from_cayley_document({"order": n, "table": out})
+    back = {p: x for x, p in enumerate(perm)}
+    return h, [back[old] for old in h.renumbering]
+
+
+@pytest.fixture
+def relabelled():
+    """relabelled(g, rng) -> (h, to_g), a random renaming of g's elements."""
+    return _relabelled

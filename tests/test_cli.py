@@ -14,7 +14,13 @@ from superext.cli import (
     parse_spec,
 )
 from superext.engine import analyze_structural
-from superext.groups import SpecError, group_isomorphic, make_generalized_quaternion, to_cayley_document
+from superext.groups import (
+    MAX_DOCUMENT_CHARS,
+    SpecError,
+    group_isomorphic,
+    make_generalized_quaternion,
+    to_cayley_document,
+)
 from superext.setfam import enumerate_mls, read_mls_stream
 
 
@@ -313,6 +319,7 @@ def test_deeply_nested_document_is_input_error(tmp_path, capsys):
         {"order": 2, "table": 5},
         {"order": 3, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]], "names": ["a"]},
         {"order": 2, "table": [[False, True], [True, False]]},  # JSON booleans, not entries
+        {"order": 2, "table": [[0, 1], [1, 0]], "names": [[1], {}]},  # names must be strings
     ],
 )
 def test_malformed_document_is_input_error(tmp_path, capsys, document):
@@ -320,6 +327,18 @@ def test_malformed_document_is_input_error(tmp_path, capsys, document):
     path.write_text(json.dumps(document))
     code, out, err = run_cli(capsys, "analyze", f"file:{path}")
     assert code == EXIT_INPUT and out == "" and err.startswith("error: ")
+
+
+def test_oversized_document_is_input_error(tmp_path, capsys):
+    # the loader reads at most MAX_DOCUMENT_CHARS + 1 characters, so file:/dev/zero cannot exhaust memory
+    doc = json.dumps({"order": 1, "table": [[0]]})
+    path = tmp_path / "g.json"
+    path.write_text(doc + " " * (MAX_DOCUMENT_CHARS - len(doc)))
+    code, _, _ = run_cli(capsys, "analyze", f"file:{path}")
+    assert code == EXIT_OK
+    path.write_text(doc + " " * (MAX_DOCUMENT_CHARS + 1 - len(doc)))
+    code, out, err = run_cli(capsys, "analyze", f"file:{path}")
+    assert code == EXIT_INPUT and out == "" and err.startswith("error: ") and "exceeds" in err
 
 
 def test_disagreement_exit_code(capsys, monkeypatch):

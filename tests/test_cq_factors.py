@@ -31,23 +31,12 @@ def cq_types(max_bits):
     return types
 
 
-def relabelled(g, rng):
-    """g with its non-identity elements renamed at random."""
-    n = g.order
-    perm = [0] + rng.sample(range(1, n), n - 1)
-    out = [[0] * n for _ in range(n)]
-    for a, row in enumerate(g.table):
-        for b, v in enumerate(row):
-            out[perm[a]][perm[b]] = perm[v]
-    return FiniteGroup(out)
-
-
 @pytest.mark.parametrize("q", cq_types(6), ids=lambda q: type_string(0, q))
-def test_every_cq_product_up_to_order_64_reads_back(q, monkeypatch):
+def test_every_cq_product_up_to_order_64_reads_back(q, monkeypatch, relabelled):
     searches = []
     search = twin.group_isomorphic
     monkeypatch.setattr(twin, "group_isomorphic", lambda a, b: searches.append(b) or search(a, b))
-    h = relabelled(make_cq_product(q), random.Random(type_string(0, q)))
+    h, _ = relabelled(make_cq_product(q), random.Random(type_string(0, q)))
     assert decompose_cq_type(h) == q
     # abelian types come straight from the invariant factors; others need one certificate
     assert len(searches) == (0 if all(fam == "C" for fam, _ in q) else 1)

@@ -1,9 +1,11 @@
 """Group constructors, subgroup machinery, hom counts, odd subgroup."""
 
 import random
+from collections import Counter
 
 import pytest
 
+from superext import groups
 from superext.groups import (
     FgAbelianPresentation,
     FiniteGroup,
@@ -204,6 +206,40 @@ def test_document_renumbers_identity():
     assert group_isomorphic(g, make_cyclic(3))
 
 
+def test_finite_group_moves_its_identity_to_index_0():
+    # D8 renamed so that its identity sits at index 3
+    g = make_dihedral(8)
+    perm = [3, 7, 0, 5, 1, 6, 2, 4]
+    t = [[0] * 8 for _ in range(8)]
+    for a, row in enumerate(g.table):
+        for b, v in enumerate(row):
+            t[perm[a]][perm[b]] = perm[v]
+    names = [g.names[perm.index(x)] for x in range(8)]
+    h = FiniteGroup(t, names=names)
+    old = h.renumbering  # renumbering[new] = old
+    assert old[0] == 3 and old[3] == 0 and sorted(old) == list(range(8))
+    assert h.table[0] == tuple(range(8)) and h.inv[0] == 0
+    assert all(old[h.table[a][b]] == t[old[a]][old[b]] for a in range(8) for b in range(8))
+    assert h.names == tuple(names[x] for x in old) and h.names[0] == g.names[0]
+    assert group_isomorphic(h, g)
+
+
+def test_constructors_keep_their_element_order():
+    for spec in catalog_specs():
+        g = parse_spec(spec)
+        assert g.renumbering == tuple(range(g.order)), spec
+
+
+def test_loading_a_document_checks_its_shape_once(monkeypatch, relabelled):
+    g = make_dihedral(8)
+    calls = []
+    check = groups.check_shape
+    monkeypatch.setattr(groups, "check_shape", lambda table, n: calls.append(n) or check(table, n))
+    h, _ = relabelled(g, random.Random(8))
+    assert h.renumbering[0] != 0  # the document's identity was not at index 0
+    assert calls == [8]
+
+
 def test_document_round_trip_q8():
     g = make_generalized_quaternion(8)
     h = from_cayley_document(to_cayley_document(g))
@@ -254,6 +290,22 @@ def test_subgroups_complete_for_every_catalog_group(spec):
         assert len(subs) == sum(g.order % d == 0 for d in range(1, g.order + 1))
     elif spec in SUBGROUP_COUNTS:
         assert len(subs) == SUBGROUP_COUNTS[spec]
+
+
+@pytest.mark.parametrize(
+    "spec, counts",
+    [
+        ("C2xC2xC2xC2xC2", [1, 31, 155, 155, 31, 1]),  # Gaussian binomials [5 k]_2, 374 in all
+        ("C4xC8", [1, 3, 7, 7, 3, 1]),
+        ("C2xC16", [1, 3, 3, 3, 3, 1]),
+        ("C8xC8", [1, 3, 7, 15, 7, 3, 1]),
+        ("C2xC32", [1, 3, 3, 3, 3, 3, 1]),
+    ],
+)
+def test_subgroup_counts_above_order_16_match_closed_forms(spec, counts):
+    # counts[k] is the number of subgroups of order 2^k, from the closed forms for abelian 2-groups
+    sizes = Counter(s.bit_count() for s in all_subgroups(parse_spec(spec)))
+    assert sizes == {1 << k: c for k, c in enumerate(counts)}
 
 
 def test_maximal_cogroups_match_the_all_pairs_definition():
@@ -520,8 +572,11 @@ def test_every_catalog_group_validates():
 def test_validation_error_kinds():
     with pytest.raises(GroupValidationError):
         FiniteGroup([[0, 1], [1, 1]])
+    # an identity at index 1 is moved to index 0, not refused
+    g = FiniteGroup([[1, 0], [0, 1]], names=["a", "e"])
+    assert g.table == ((0, 1), (1, 0)) and g.renumbering == (1, 0) and g.names == ("e", "a")
     with pytest.raises(GroupValidationError) as exc:
-        FiniteGroup([[1, 0], [0, 1]])
+        FiniteGroup([[0, 1, 2], [2, 0, 1], [1, 2, 0]])  # a latin square without an identity
     assert exc.value.kind == "identity"
 
 

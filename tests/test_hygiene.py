@@ -77,6 +77,21 @@ def private_reads_across_modules(root: Path) -> list[str]:
     return found
 
 
+def test_group_validation_errors_pass_a_documented_kind():
+    # kind is part of the error contract: each raise names one of the four kinds as a literal
+    kinds = {"shape", "latin_square", "identity", "associativity"}
+    calls, found = 0, []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            func = node.func if isinstance(node, ast.Call) else None
+            if getattr(func, "id", getattr(func, "attr", None)) == "GroupValidationError":
+                calls += 1
+                kind = node.args[0] if node.args else next((k.value for k in node.keywords if k.arg == "kind"), None)
+                if not (isinstance(kind, ast.Constant) and kind.value in kinds):
+                    found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert calls > 0 and found == []
+
+
 def test_src_reads_no_private_name_of_another_module():
     # a private helper called from another module is an entry point in disguise
     assert private_reads_across_modules(SRC) == []

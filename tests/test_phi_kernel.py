@@ -8,7 +8,7 @@ import pytest
 from superext.cli import parse_spec
 from superext.engine import build_projection_idempotent, lambda_semigroup
 from superext import setfam
-from superext.groups import from_cayley_document, make_cyclic, to_cayley_document
+from superext.groups import make_cyclic
 from superext.setfam import (
     FamilyOfSets,
     circ,
@@ -36,20 +36,6 @@ def random_mls(g, rng):
         if all(a & b for b in members):
             members.append(a)
     return family_to_signature(FamilyOfSets(g, frozenset(members)))
-
-
-def relabelled(spec, seed):
-    """The group of spec under a seeded renaming of its elements, loaded
-    through from_cayley_document as the benchmark loads its inputs."""
-    table = to_cayley_document(parse_spec(spec))["table"]
-    n = len(table)
-    perm = list(range(n))
-    random.Random(seed).shuffle(perm)
-    out = [[0] * n for _ in range(n)]
-    for i, row in enumerate(table):
-        for j, v in enumerate(row):
-            out[perm[i]][perm[j]] = perm[v]
-    return from_cayley_document({"order": n, "table": out})
 
 
 # -- Phi rows ----------------------------------------------------------------------------
@@ -89,8 +75,8 @@ def test_phi_tables_match_phi_table_on_every_system(spec):
 
 
 @pytest.mark.parametrize("spec,seed", [("C6", 1), ("C6", 2), ("D6", 1), ("D6", 2)])
-def test_phi_tables_match_phi_table_on_relabelled_groups(spec, seed):
-    assert_batch_matches_phi_table(relabelled(spec, seed))
+def test_phi_tables_match_phi_table_on_relabelled_groups(spec, seed, relabelled):
+    assert_batch_matches_phi_table(relabelled(parse_spec(spec), random.Random(seed))[0])
 
 
 def test_phi_tables_refuse_order_9():
@@ -115,8 +101,8 @@ def test_lambda_mul_matches_circ_on_all_pairs(spec):
 
 
 @pytest.mark.parametrize("spec,seed", [("C6", None), ("D6", None), ("D6", 3)], ids=["C6", "D6", "D6-relabelled"])
-def test_lambda_mul_matches_circ_on_seeded_pairs(spec, seed):
-    g = parse_spec(spec) if seed is None else relabelled(spec, seed)
+def test_lambda_mul_matches_circ_on_seeded_pairs(spec, seed, relabelled):
+    g = parse_spec(spec) if seed is None else relabelled(parse_spec(spec), random.Random(seed))[0]
     sem = lambda_semigroup(g)
     rng = random.Random(spec)
     _assert_mul_matches_circ(sem, [(rng.randrange(sem.size), rng.randrange(sem.size)) for _ in range(2000)])
