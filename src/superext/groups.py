@@ -383,16 +383,22 @@ def is_normal_mask(g: FiniteGroup, mask: int) -> bool:
 
 def all_subgroups(g: FiniteGroup) -> list[int]:
     """Complete duplicate-free list of subgroup masks, by (size, mask),
-    found by generator extension."""
+    found by generator extension.  <h, a*x> = <h, x> for every a in h, so h
+    is extended by the least x of each right coset h*x other than h itself:
+    [X:h] - 1 closures per subgroup h, not n - |h|."""
     if g.order > MAX_GROUP_ORDER:
         raise ValueError(f"order {g.order} exceeds cap {MAX_GROUP_ORDER}")
+    columns = list(zip(*g.table))
     found = {1: 0}  # each subgroup found -> a mask of generators of it
     frontier = [1]
     while frontier:
         h = frontier.pop()
+        coset_at = gather(list(mask_elements(h)))  # column x -> the right coset h*x
+        covered = set(coset_at(columns[0]))
         for x in range(1, g.order):
-            if (h >> x) & 1:
+            if x in covered:
                 continue
+            covered.update(coset_at(columns[x]))
             gens = found[h] | 1 << x
             k = closure(g.table, gens)
             if k not in found:
@@ -435,8 +441,8 @@ def quotient(g: FiniteGroup, mask: int) -> tuple[FiniteGroup, list[int]]:
     if any(coset_of[g.table[h][r]] != coset_of[r] for r in reps for h in mask_elements(mask)):
         raise ValueError("quotient requires a normal subgroup")
     q = FiniteGroup(subtable(lambda a, b: reps[coset_of[g.table[a][b]]], reps))
-    for x in range(g.order):
-        if any(coset_of[g.table[x][y]] != q.table[coset_of[x]][coset_of[y]] for y in range(g.order)):
+    for x in range(g.order):  # whole rows: the cosets of x*y against coset(x)*coset(y)
+        if gather(g.table[x])(coset_of) != gather(coset_of)(q.table[coset_of[x]]):
             raise InvariantError(f"coset projection is not a homomorphism at {x}")
     if mask_from_elements(x for x, c in enumerate(coset_of) if c == 0) != mask:
         raise InvariantError("coset projection has the wrong kernel")
@@ -486,16 +492,20 @@ def hom_count_to_cyclic2(g: FiniteGroup, k: int) -> int:
 
 def cogroup_masks(g: FiniteGroup, subs: list[int] | None = None) -> list[tuple[int, int, int]]:
     """All (K, KK, K_pm) mask triples: K = H_pm \\ H with H of index 2 in H_pm.
-    subs is g's subgroup lattice, built here when not given."""
+    subs is g's subgroup lattice, built here when not given; each H_pm of
+    even size is compared only with the subgroups of half its size."""
     if subs is None:
         subs = all_subgroups(g)
+    by_size: dict[int, list[int]] = {}
+    for h in subs:
+        by_size.setdefault(h.bit_count(), []).append(h)
     out = {}
     for hpm in subs:
         size = hpm.bit_count()
         if size % 2:
             continue
-        for h in subs:
-            if 2 * h.bit_count() == size and h & hpm == h:
+        for h in by_size.get(size // 2, ()):
+            if h & hpm == h:
                 out[hpm ^ h] = (hpm ^ h, h, hpm)
     return sorted(out.values())
 

@@ -103,11 +103,19 @@ def maximal_2cogroups(g: FiniteGroup) -> list[TwoCogroup]:
 
 
 def cogroup_orbits(g: FiniteGroup) -> list[CogroupOrbit]:
-    """Conjugation orbits of the maximal 2-cogroups, smallest mask first."""
+    """Conjugation orbits of the maximal 2-cogroups, smallest mask first.
+    x*K*x^-1 is constant on each left coset x*Stab(K), so K is conjugated
+    once per coset: [X:Stab(K)] conjugations, one for a normal K."""
     def build():
         cogs = {k.members: k for k in maximal_2cogroups(g)}
+
+        def conjugates(m):
+            stab = list(mask_elements(cogs[m].stab))
+            cosets = orbits(range(g.order), lambda x: (g.table[x][s] for s in stab))
+            return (g.conj_mask(c[0], m) for c in cosets)
+
         out = []
-        for orbit in orbits(sorted(cogs), lambda m: (g.conj_mask(x, m) for x in range(g.order))):
+        for orbit in orbits(sorted(cogs), conjugates):
             members = tuple(cogs[m] for m in orbit)
             _, tag = characteristic_group(members[0])
             out.append(CogroupOrbit(representative=members[0], members=members, characteristic_type=tag))
@@ -160,10 +168,11 @@ def classify_unique_involution_2group(h: FiniteGroup) -> Tag:
 
 
 def characteristic_group(k: TwoCogroup) -> tuple[FiniteGroup, tuple[str, int]]:
-    """Stab(K)/KK with its cyclic-or-quaternion classification tag."""
+    """Stab(K)/KK with its cyclic-or-quaternion classification tag.  Stab(K) = X
+    is g itself, validated when g was built; a proper Stab(K) is validated here."""
     g = k.group
     stab_elems = sorted(mask_elements(k.stab))
-    stab_group = FiniteGroup(subtable(g.mul, stab_elems))
+    stab_group = g if k.stab == g.full_mask() else FiniteGroup(subtable(g.mul, stab_elems))
     h, _ = quotient(stab_group, mask_from_elements(i for i, e in enumerate(stab_elems) if k.kk >> e & 1))
     return h, classify_unique_involution_2group(h)
 

@@ -11,6 +11,7 @@ from superext.groups import (
     FiniteGroup,
     GroupValidationError,
     INFINITY,
+    InvariantError,
     SpecError,
     all_subgroups,
     closure,
@@ -300,12 +301,33 @@ def test_subgroups_complete_for_every_catalog_group(spec):
         ("C2xC16", [1, 3, 3, 3, 3, 1]),
         ("C8xC8", [1, 3, 7, 15, 7, 3, 1]),
         ("C2xC32", [1, 3, 3, 3, 3, 3, 1]),
+        ("C2xC2xC2xC2xC2xC2", [1, 63, 651, 1395, 651, 63, 1]),  # Gaussian binomials [6 k]_2, 2,825 in all
     ],
 )
 def test_subgroup_counts_above_order_16_match_closed_forms(spec, counts):
     # counts[k] is the number of subgroups of order 2^k, from the closed forms for abelian 2-groups
     sizes = Counter(s.bit_count() for s in all_subgroups(parse_spec(spec)))
     assert sizes == {1 << k: c for k, c in enumerate(counts)}
+
+
+def test_c2_6_has_63_maximal_2cogroups_the_complements_of_its_index_2_subgroups():
+    # C2^6 is F_2^6 under xor; its index-2 subgroups are the kernels {x : v.x = 0} of the 63 nonzero v
+    g = parse_spec("C2xC2xC2xC2xC2xC2")
+    assert all(g.table[x][y] == x ^ y for x in range(64) for y in range(64))
+    kernels = [mask_from_elements(x for x in range(64) if (x & v).bit_count() % 2 == 0) for v in range(1, 64)]
+    maximal = maximal_cogroup_masks(g)
+    assert len(maximal) == 63
+    assert maximal == sorted((g.full_mask() ^ h, h, g.full_mask()) for h in kernels)
+
+
+@pytest.mark.parametrize("spec, calls", [("C2xC2xC2xC2", 240), ("D8", 25), ("A4", 40), ("Q16", 40)])
+def test_all_subgroups_takes_one_closure_per_right_coset(monkeypatch, spec, calls):
+    # <h, a*x> = <h, x> for a in h: one closure per right coset h*x other than h, sum of [X:h] - 1
+    g = parse_spec(spec)
+    masks = []
+    monkeypatch.setattr(groups, "closure", lambda table, mask: masks.append(mask) or closure(table, mask))
+    subs = all_subgroups(g)
+    assert len(masks) == sum(g.order // h.bit_count() - 1 for h in subs) == calls
 
 
 def test_maximal_cogroups_match_the_all_pairs_definition():
@@ -379,6 +401,15 @@ def test_quotient_rejects_a_mask_that_is_not_a_normal_subgroup():
     for g, mask in ((d6, 0b001001), (d6, classes), (make_cyclic(4), 0b0011)):
         with pytest.raises(ValueError, match="quotient requires a normal subgroup"):
             quotient(g, mask)
+
+
+def test_quotient_checks_the_coset_projection_row_by_row(monkeypatch):
+    # a valid C4 table with 1 and 2 swapped: the swap is no automorphism of C4
+    swapped = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 1, 0], [3, 2, 0, 1]]
+    g = make_cyclic(4)
+    monkeypatch.setattr(groups, "subtable", lambda mul, elems: swapped)
+    with pytest.raises(InvariantError, match="not a homomorphism at 1"):
+        quotient(g, 1)
 
 
 # -- hom counting -----------------------------------------------------------------------

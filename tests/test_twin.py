@@ -7,6 +7,7 @@ import pytest
 from superext.cli import parse_spec
 from superext.engine import catalog_specs
 from superext.groups import (
+    FiniteGroup,
     all_subgroups,
     cogroup_masks,
     group_isomorphic,
@@ -17,6 +18,8 @@ from superext.groups import (
     make_generalized_quaternion,
     InvariantError,
     mask_elements,
+    quotient,
+    subtable,
 )
 from superext import twin
 from superext.twin import (
@@ -216,6 +219,24 @@ def test_orbits_d8():
     sizes = sorted(len(o.members) for o in orbits)
     assert sizes == [1, 1, 1, 2, 2]
     assert all(o.characteristic_type == ("C", 1) for o in orbits)
+
+
+@pytest.mark.parametrize("spec", CATALOG_16)
+def test_orbits_stabilisers_and_types_match_the_definitions(spec, relabelled):
+    # all n conjugates and a freshly validated Stab(K), not one per coset or g's own table
+    for g in (parse_spec(spec), relabelled(parse_spec(spec), random.Random(spec))[0]):
+        t, inv = g.table, g.inv
+        for orbit in cogroup_orbits(g):
+            rep = orbit.representative
+            conjugates = {sum(1 << t[t[x][a]][inv[x]] for a in mask_elements(rep.members)) for x in range(g.order)}
+            assert {k.members for k in orbit.members} == conjugates
+            for k in orbit.members:
+                ks = set(mask_elements(k.members))
+                assert k.stab == sum(1 << x for x in range(g.order) if all(t[t[x][a]][inv[x]] in ks for a in ks))
+            stab = sorted(mask_elements(rep.stab))
+            kk = sum(1 << i for i, e in enumerate(stab) if rep.kk >> e & 1)
+            h, _ = quotient(FiniteGroup(subtable(g.mul, stab)), kk)
+            assert orbit.characteristic_type == classify_unique_involution_2group(h)
 
 
 def test_selector_smallest_masks():
