@@ -142,9 +142,9 @@ def analyze_structural(g: FiniteGroup, name: str = "?") -> StructureReport:
 
 def lambda_semigroup(g: FiniteGroup, budget: int | None = None) -> FiniteSemigroup:
     """The whole superextension as a finite semigroup (orders <= 6),
-    multiplied through the function representation Phi.  The Phi tables of
-    all systems are built in one column-sliced pass over their signature
-    bits (setfam.phi_tables), not one system at a time."""
+    multiplied through Phi: the tables of all systems come from one
+    column-sliced pass (setfam.phi_tables), and a product composes a's table
+    with b's pair row in one bytes.translate, as phi_tables stops at order 8."""
     if g.order > MAX_ENUM_ORDER:
         # lambda(C7) alone has 1,422,564 elements, each with a Phi table
         raise ValueError(f"the superextension semigroup is built up to order {MAX_ENUM_ORDER}")

@@ -12,7 +12,8 @@ phi_tables builds the tables of a whole list of systems together (orders
 <= 8): the signatures become one 0/1 byte string, each subset's column over
 all systems is one strided slice of it, and each group element adds one
 big integer, so no Python loop runs over the systems.  indexed_circ, the
-product of lambda_semigroup, uses the batch.
+product of lambda_semigroup, composes a's table with b's pair row through
+one bytes.translate, which fits because phi_tables stops at order 8.
 """
 
 from __future__ import annotations
@@ -366,18 +367,20 @@ def phi_tables(g: FiniteGroup, bits: Sequence[int]) -> list[bytes]:
 
 def indexed_circ(g: FiniteGroup, bits: Sequence[int]):
     """mult(i, j) = the index of a o b in bits, for the systems a, b with
-    signatures bits[i], bits[j]; bits must be closed under circ.
+    signatures bits[i], bits[j]; KeyError if a product is not in bits.
 
-    Phi(a o b) = Phi(a) o Phi(b), so the pair row of a o b is Phi(a)'s table
-    gathered at b's pair row: one gather and one dict lookup per product.
+    Phi(a o b) = Phi(a) o Phi(b), so the pair row of a o b is b's pair row
+    translated through Phi(a)'s table: one bytes.translate and one dict
+    lookup per product.  phi_tables stops at order 8, so a's table, padded
+    to 256 bytes, is a translate table.
     """
     tables = phi_tables(g, bits)
-    half = 1 << (g.order - 1)
-    index = {tuple(t[:half]): i for i, t in enumerate(tables)}
-    gathers = [gather(t[:half]) for t in tables]
+    half, pad = 1 << (g.order - 1), bytes(256 - (1 << g.order))
+    rows, maps = [t[:half] for t in tables], [t + pad for t in tables]
+    index = {r: i for i, r in enumerate(rows)}
 
     def mult(i, j):
-        return index[gathers[j](tables[i])]
+        return index[rows[j].translate(maps[i])]
 
     return mult
 

@@ -95,27 +95,29 @@ def is_pretwin(g: FiniteGroup, a: int) -> bool:
 # -- 2-cogroups ------------------------------------------------------------------
 
 
+def _conjugators(g: FiniteGroup, stab: int) -> list[int]:
+    """One x per left coset x*Stab(K) other than Stab(K): x*K*x^-1 is constant on each."""
+    if stab == g.full_mask():
+        return []
+    return [c[0] for c in orbits(range(g.order), lambda x: (g.table[x][s] for s in mask_elements(stab)))][1:]
+
+
 def maximal_2cogroups(g: FiniteGroup) -> list[TwoCogroup]:
-    return [
-        TwoCogroup(g, k, kk, kpm, mask_from_elements(x for x in range(g.order) if g.conj_mask(x, k) == k))
-        for k, kk, kpm in maximal_cogroup_masks(g)
-    ]
+    """Stab(K) by definition at the first K of each conjugacy orbit; x*K*x^-1 gets x*Stab(K)*x^-1."""
+    triples, stabs = maximal_cogroup_masks(g), {}
+    for k, _, _ in triples:
+        if k not in stabs:
+            stabs[k] = stab = mask_from_elements(x for x in range(g.order) if g.conj_mask(x, k) == k)
+            stabs.update((g.conj_mask(x, k), g.conj_mask(x, stab)) for x in _conjugators(g, stab))
+    return [TwoCogroup(g, k, kk, kpm, stabs[k]) for k, kk, kpm in triples]
 
 
 def cogroup_orbits(g: FiniteGroup) -> list[CogroupOrbit]:
-    """Conjugation orbits of the maximal 2-cogroups, smallest mask first.
-    x*K*x^-1 is constant on each left coset x*Stab(K), so K is conjugated
-    once per coset: [X:Stab(K)] conjugations, one for a normal K."""
+    """Conjugation orbits of the maximal 2-cogroups, smallest mask first; one conjugate per coset of Stab(K)."""
     def build():
         cogs = {k.members: k for k in maximal_2cogroups(g)}
-
-        def conjugates(m):
-            stab = list(mask_elements(cogs[m].stab))
-            cosets = orbits(range(g.order), lambda x: (g.table[x][s] for s in stab))
-            return (g.conj_mask(c[0], m) for c in cosets)
-
         out = []
-        for orbit in orbits(sorted(cogs), conjugates):
+        for orbit in orbits(sorted(cogs), lambda m: [m, *(g.conj_mask(x, m) for x in _conjugators(g, cogs[m].stab))]):
             members = tuple(cogs[m] for m in orbit)
             _, tag = characteristic_group(members[0])
             out.append(CogroupOrbit(representative=members[0], members=members, characteristic_type=tag))

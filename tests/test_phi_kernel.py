@@ -14,6 +14,7 @@ from superext.setfam import (
     circ,
     enumerate_mls,
     family_to_signature,
+    indexed_circ,
     pair_row,
     phi,
     phi_map,
@@ -120,6 +121,29 @@ def test_lambda_build_uses_no_per_system_table(monkeypatch):
     monkeypatch.undo()
     _assert_mul_matches_circ(sem, pairs)
     assert products == [sem.mul(i, j) for i, j in pairs]
+
+
+@pytest.mark.parametrize("spec", ["C7", "C8", "D8", "Q8", "C2xC2xC2"])
+def test_indexed_circ_multiplies_principal_ultrafilters_like_the_group(spec):
+    # the translate table's edges: 128 real entries at order 7, no padding at order 8
+    g = parse_spec(spec)
+    ups = [principal_ultrafilter(g, x).bits for x in range(g.order)]
+    bits = sorted(ups)
+    of = [bits.index(b) for b in ups]
+    mult = indexed_circ(g, bits)
+    for x in range(g.order):
+        for y in range(g.order):
+            assert mult(of[x], of[y]) == of[g.table[x][y]], (x, y)
+
+
+def test_indexed_circ_refuses_a_product_outside_the_list():
+    g = parse_spec("C4")
+    mult = indexed_circ(g, enumerate_mls(g).bits[:3])
+    with pytest.raises(KeyError):
+        for i in range(3):
+            for j in range(3):
+                mult(i, j)
+    indexed_circ(g, [])  # an empty list still builds its (empty) tables
 
 
 # -- pair rows with 16-bit fields (orders 9 to 16) --------------------------------------------
