@@ -264,8 +264,9 @@ def build_projection_idempotent(g: FiniteGroup) -> MlsSignature:
     representative, carried to each conjugate K by the first x with
     x*rep*x^-1 = K.  Any other twin set a collapses equivariantly onto the
     selector twin set of the smallest maximal 2-cogroup containing Fix-(a),
-    read off the group's Fix- table; non-twin sets get empty/full values
-    from a greedily completed maximal invariant linked family.
+    read off the group's Fix- table; a non-twin set gets X when it has more
+    than half the elements and empty when it has fewer, and of the two
+    shift orbits at exactly half, the one with the smaller least mask gets X.
     The map is certified by setfam.phi_inverse, the representation
     theorem's inverse, and then checked to be idempotent.  Any failure is
     a hard error.
@@ -283,34 +284,23 @@ def build_projection_idempotent(g: FiniteGroup) -> MlsSignature:
     maximal = sorted(target_of)
 
     fixm = fix_minus_table(g)
-    e_map = [-1] * (full + 1)
-
-    def shift_orbits(points):
-        return orbits(points, lambda a: (g.shift_mask(x, a) for x in range(n)))
-
-    # twin sets: collapse X-orbits onto the selector family
-    for orbit in shift_orbits(a for a in range(full + 1) if fixm[a]):
+    e_map = [0] * (full + 1)
+    # Twin sets collapse their X-orbit onto the selector family; the other
+    # sets take the size rule above.  At n/2 the orbit of X\a is not a's
+    # (xa = X\a would make a a twin set), so exactly one of the two gets X,
+    # and the sets that get X are linked: disjoint ones would be some a of
+    # n/2 elements and X\a.
+    for orbit in orbits(range(full + 1), lambda a: (g.shift_mask(x, a) for x in range(n))):
         a = orbit[0]
-        target = target_of[next(k for k in maximal if k & fixm[a] == fixm[a])]
-        if target in orbit:
-            target = a  # a lies in the selector orbit itself: keep the identity there
-        for x in range(n):
-            e_map[g.shift_mask(x, a)] = g.shift_mask(x, target)
-
-    # non-twin sets: 0/1 values from a maximal invariant linked family,
-    # completed greedily by descending size: the shift orbit of a joins
-    # unless X\a already has.  This is the greedy that takes an orbit when
-    # it is pairwise intersecting and meets every member taken before it.
-    # That family stays upward closed (a superset of a member comes earlier
-    # and passes both tests as well), so a misses a member iff X\a is one.
-    # A non-twin a missing its shift xa has xa inside X\a: if |a| < n/2,
-    # the larger X\a came first and joined, as a had not; |a| = n/2 would
-    # make xa = X\a and a a twin set.
-    non_twins = sorted((a for a in range(full + 1) if not fixm[a]), key=lambda m: (-m.bit_count(), m))
-    for orbit in shift_orbits(non_twins):
-        v = 0 if e_map[orbit[0] ^ full] == full else full
-        for b in orbit:
-            e_map[b] = v
+        if fixm[a]:
+            target = target_of[next(k for k in maximal if k & fixm[a] == fixm[a])]
+            if target in orbit:
+                target = a  # a lies in the selector orbit itself: keep the identity there
+            for x in range(n):
+                e_map[g.shift_mask(x, a)] = g.shift_mask(x, target)
+        elif 2 * a.bit_count() > n or 2 * a.bit_count() == n and a < min(b ^ full for b in orbit):
+            for b in orbit:
+                e_map[b] = full
 
     try:
         sig = phi_inverse(e_map, g)

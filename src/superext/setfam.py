@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from operator import index as int_index
 
-from .groups import FiniteGroup, gather, mask_elements
+from .groups import FiniteGroup, gather
 
 MAX_ENUM_ORDER = 6
 MAX_ENUM_ORDER_WITH_BUDGET = 7
@@ -59,14 +59,8 @@ class MlsSignature:
             return bool((self.bits >> mask) & 1)
         return not (self.bits >> (mask ^ self.group.full_mask())) & 1
 
-    def member_masks(self):
-        full = self.group.full_mask()
-        half = 1 << (self.group.order - 1)
-        for p in range(half):
-            yield p if (self.bits >> p) & 1 else p ^ full
-
     def to_family(self) -> FamilyOfSets:
-        return FamilyOfSets(self.group, frozenset(self.member_masks()))
+        return FamilyOfSets(self.group, frozenset(m for m, c in enumerate(_membership(self)) if c == "1"))
 
 
 def principal_ultrafilter(g: FiniteGroup, x: int) -> MlsSignature:
@@ -390,19 +384,26 @@ def phi_inverse(f: Sequence[int], g: FiniteGroup) -> MlsSignature:
     indexed by mask: the representation theorem's inverse.
 
     Pair p is a member of a iff the identity lies in f(p).  Phi(a) = f
-    holds iff f is equivariant and symmetric; f monotone on covering pairs
-    is monotone, so a is upward closed, and a self-dual upward-closed
+    holds iff f is equivariant and symmetric.  Phi(a) is monotone iff a is
+    upward closed: if A is in a and B above it is not, the identity lies
+    in Phi(A) and not in Phi(B).  With bit m of m_a set iff mask m is in a,
+    a is upward closed iff, for each x, m_a & ~(m_a >> 2^x) has no bit in
+    Z_x, the masks without x: n big-int tests.  A self-dual upward-closed
     family is maximal linked.  ValueError names the first property that
     fails.
     """
-    full = g.full_mask()
-    sig = MlsSignature(g, sum(1 << p for p in range(1 << (g.order - 1)) if f[p] & 1))
+    n = g.order
+    sig = MlsSignature(g, sum(1 << p for p in range(1 << (n - 1)) if f[p] & 1))
     if phi_table(sig) != tuple(f):
         raise ValueError("map is not Phi of a system: not equivariant or not symmetric")
-    for a in range(full + 1):
-        for x in mask_elements(full ^ a):
-            if f[a] & ~f[a | 1 << x]:
-                raise ValueError(f"map is not monotone at {a} <= {a | 1 << x}")
+    m_a = int(_membership(sig)[::-1], 2)
+    every = (1 << (1 << n)) - 1
+    for x in range(n):
+        step = 1 << x
+        missed = m_a & ~(m_a >> step) & every // ((1 << 2 * step) - 1) * ((1 << step) - 1)
+        if missed:
+            a = (missed & -missed).bit_length() - 1
+            raise ValueError(f"map is not monotone at {a} <= {a | step}")
     return sig
 
 

@@ -217,8 +217,9 @@ def twin_sets_for(k: TwoCogroup) -> TkData:
             for z in movers:
                 mask |= 1 << g.table[z][s]
         built.add(mask)
-    scan = {a for a, fm in enumerate(fix_minus_table(g)) if fm == k.members}
-    if built != scan:
+    # built equals the table's scan iff every set in it, and no other, has Fix- = K
+    fixm = fix_minus_table(g)
+    if any(fixm[a] != k.members for a in built) or fixm.count(k.members) != len(built):
         raise InvariantError("transversal construction disagrees with the Fix- table")
     twins = tuple(sorted(built))
     if len(twins) != 1 << k.kpm_index():

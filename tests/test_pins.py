@@ -105,6 +105,21 @@ def test_projection_idempotent_orders_7_to_12_pinned():
     assert hashlib.sha256(json.dumps(got, sort_keys=True).encode()).hexdigest() == PROJECTION_7_TO_12_DIGEST
 
 
+# The same digest over D14, D16, Q16 and C2xC2xC2xC2, taken from the
+# construction that sorted every non-twin mask for a greedy linked family.
+PROJECTION_14_TO_16_DIGEST = "8ccb6d6e4e52824c7fd66e98e17eacc7ad5e933f32608977a6365b596c89590b"
+
+
+def test_projection_idempotent_orders_14_to_16_pinned():
+    got = {}
+    for spec in ("D14", "D16", "Q16", "C2xC2xC2xC2"):
+        g = parse_spec(spec)
+        sig = build_projection_idempotent(g)
+        assert min_ideal_membership(g, sig), spec
+        got[spec] = format(sig.bits, "x")
+    assert hashlib.sha256(json.dumps(got, sort_keys=True).encode()).hexdigest() == PROJECTION_14_TO_16_DIGEST
+
+
 def test_projection_idempotent_refuses_order_above_the_pipeline_cap():
     with pytest.raises(ValueError, match="capped at order 16"):
         build_projection_idempotent(make_cyclic(32))

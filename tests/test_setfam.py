@@ -336,6 +336,23 @@ def test_phi_inverse_monotone_gate():
         phi_inverse(phi_map(MlsSignature(g, 0b0110)), g)
 
 
+@pytest.mark.parametrize(
+    "spec, bits",
+    [
+        ("C4", 0b0110),  # the selector above
+        ("D6", 0xE8E8E880 | 1 << 0b000010),  # the projection idempotent with {1} put in for X\{1}
+    ],
+)
+def test_phi_inverse_monotone_gate_names_a_covering_pair(spec, bits):
+    g = parse_spec(spec)
+    f = phi_map(MlsSignature(g, bits))
+    with pytest.raises(ValueError, match="not monotone") as info:
+        phi_inverse(f, g)
+    a, b = map(int, re.fullmatch(r"map is not monotone at (\d+) <= (\d+)", str(info.value)).groups())
+    assert (a ^ b).bit_count() == 1 and b & ~a
+    assert f[a] & ~f[b]
+
+
 # -- stream format -----------------------------------------------------------------------------
 
 

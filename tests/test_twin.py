@@ -410,3 +410,16 @@ def test_twinic_abelian_and_small():
 def test_twinic_nonabelian():
     for spec in ("A4", "Q8", "D8", "Q16", "D16"):
         assert is_trivially_twinic(parse_spec(spec)).trivial
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_twin_sets_for_rejects_a_table_with_a_set_it_does_not_build(monkeypatch, swap):
+    g = make_generalized_quaternion(8)
+    k = maximal_2cogroups(g)[0]
+    table = list(fix_minus_table(g))
+    table[0] = k.members  # the empty set, which the transversal never builds, joins T_K
+    if swap:
+        table[min(twin_sets_for(k).twin_masks)] = 0  # and a built one leaves, so |T_K| holds
+    monkeypatch.setattr(twin, "fix_minus_table", lambda _: tuple(table))
+    with pytest.raises(InvariantError, match="Fix- table"):
+        twin_sets_for(k)
