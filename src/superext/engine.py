@@ -16,13 +16,12 @@ from .groups import (
     InvariantError,
     MAX_PIPELINE_ORDER,
     make_cq_product,
-    orbits,
     parse_spec,
     spec_order,
     subtable,
 )
 from .setfam import (
-    MAX_ENUM_ORDER, MlsSignature, circ, enumerate_mls, indexed_circ, phi_inverse, phi_table
+    MAX_ENUM_ORDER, MlsSignature, circ, enumerate_mls, indexed_circ, phi_inverse, phi_table, shift_orbits
 )
 from .twin import (
     CogroupOrbit,
@@ -143,7 +142,9 @@ def analyze_structural(g: FiniteGroup, name: str = "?") -> StructureReport:
 def lambda_semigroup(g: FiniteGroup, budget: int | None = None) -> FiniteSemigroup:
     """The whole superextension as a finite semigroup (orders <= 6),
     multiplied through Phi: the tables of all systems come from one
-    column-sliced pass (setfam.phi_tables), and a product composes a's table
+    column-sliced pass (setfam.phi_tables) over the signatures packed into
+    one int, computed at one mask per left-shift orbit of P(X) and carried
+    to the rest of the orbit by equivariance.  A product composes a's table
     with b's pair row in one bytes.translate, as phi_tables stops at order 8."""
     if g.order > MAX_ENUM_ORDER:
         # lambda(C7) alone has 1,422,564 elements, each with a Phi table
@@ -290,7 +291,7 @@ def build_projection_idempotent(g: FiniteGroup) -> MlsSignature:
     # (xa = X\a would make a a twin set), so exactly one of the two gets X,
     # and the sets that get X are linked: disjoint ones would be some a of
     # n/2 elements and X\a.
-    for orbit in orbits(range(full + 1), lambda a: (g.shift_mask(x, a) for x in range(n))):
+    for orbit in shift_orbits(g):
         a = orbit[0]
         if fixm[a]:
             target = target_of[next(k for k in maximal if k & fixm[a] == fixm[a])]

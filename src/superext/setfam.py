@@ -9,9 +9,12 @@ membership is O(1).  Explicit families are only materialized for general
 The function representation Phi comes two ways.  pair_row and phi_table
 read one system's table off its membership string (orders <= 16).
 phi_tables builds the tables of a whole list of systems together (orders
-<= 8): the signatures become one 0/1 byte string, each subset's column over
-all systems is one strided slice of it, and each group element adds one
-big integer, so no Python loop runs over the systems.  indexed_circ, the
+<= 8): the signatures, packed into one int, become one 0/1 byte string,
+and each subset's column over all systems is one strided slice of it.
+Phi is equivariant, Phi(x*A) = x*Phi(A), so the columns are computed only
+at the least mask of each left-shift orbit of P(X), each group element
+adding one big integer, and the others are translated from them through
+the shift rows: no Python loop runs over the systems.  indexed_circ, the
 product of lambda_semigroup, composes a's table with b's pair row through
 one bytes.translate, which fits because phi_tables stops at order 8.
 """
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from operator import index as int_index
 
-from .groups import FiniteGroup, gather
+from .groups import FiniteGroup, gather, orbits
 
 MAX_ENUM_ORDER = 6
 MAX_ENUM_ORDER_WITH_BUDGET = 7
@@ -334,28 +337,64 @@ _BYTES01 = bytes.maketrans(b"01", b"\0\1")
 _NOT01 = bytes.maketrans(b"\0\1", b"\1\0")
 
 
+def shift_orbits(g: FiniteGroup) -> list[list[int]]:
+    """The left-shift orbits {x*A : x in X} of P(X), each sorted, in the order
+    of their least masks; built once per group (orders <= 16)."""
+
+    def build():
+        rows = [g.shift_row(x) for x in range(g.order)]
+        return orbits(range(g.full_mask() + 1), lambda a: [r[a] for r in rows])
+
+    return g.memo("shift_orbits", build)
+
+
+def _orbit_fill(g: FiniteGroup):
+    """phi_tables' plan over the least masks r of the shift orbits: their
+    count; per element x, the gather of the columns of x^-1 r; and per mask
+    m = x*r, the index of r with x's shift row as a translate table, padded
+    to 256 bytes."""
+    n = g.order
+    reps = [o[0] for o in shift_orbits(g)]
+    maps = [bytes(g.shift_row(x)) + bytes(256 - (1 << n)) for x in range(n)]
+    fill = [None] * (1 << n)
+    for j, r in enumerate(reps):
+        for x in reversed(range(n)):  # x = 0, the identity, is kept at m = r
+            fill[g.shift_row(x)[r]] = (j, maps[x])
+    picks = [gather([g.shift_row(g.inv[x])[r] for r in reps]) for x in range(n)]
+    return len(reps), picks, fill
+
+
 def phi_tables(g: FiniteGroup, bits: Sequence[int]) -> list[bytes]:
     """phi_table of every signature in bits, as bytes, built together.
 
-    The signatures, formatted as one 0/1 byte string, hold pair q of every
-    system in the strided column s[half-1-q::half]; X\\q's column is the
-    complement's.  Bit x of Phi(A) is the membership of x^-1 A, so the 2^n
-    columns joined in shift_row(x^-1) order make one plane, mask-major, and
-    the planes shifted by x sum without carries into one byte per
-    (mask, system).  Orders > 8 would overflow a byte.
+    The signatures, packed into one int in blocks of w = max(2^(n-1), 8)
+    bits and formatted once as a 0/1 byte string, hold pair q of every
+    system in the strided column s[w-1-q::w]; X\\q's column is the
+    complement's.  Bit x of Phi(A) is the membership of x^-1 A, so the
+    columns of x^-1 r joined over the least masks r of the shift orbits
+    make one plane, mask-major, and the planes shifted by x sum without
+    carries into one byte per (r, system).  Phi is equivariant,
+    Phi(x*A) = x*Phi(A), so column x*r is column r translated through x's
+    shift row.  Orders > 8 would overflow a byte.
     """
     n, count = g.order, len(bits)
     if n > 8:
         raise ValueError(f"batched Phi tables hold one byte per entry: order {n} > 8")
+    if not count:
+        return []
     half = 1 << (n - 1)
-    s = "".join(map(f"{{:0{half}b}}".format, bits)).encode().translate(_BYTES01)
-    low = [s[half - 1 - q :: half] for q in range(half)]
+    w = max(half, 8)
+    packed = int.from_bytes(b"".join(map(int.to_bytes, bits, repeat(w // 8), repeat("big"))), "big")
+    s = format(packed, f"0{count * w}b").encode().translate(_BYTES01)
+    low = [s[w - 1 - q :: w] for q in range(half)]
     cols = low + [c.translate(_NOT01) for c in reversed(low)]
+    size, picks, fill = g.memo("phi_fill", lambda: _orbit_fill(g))
     total = 0
-    for x in range(n):
-        plane = b"".join(gather(g.shift_row(g.inv[x]))(cols))
-        total += int.from_bytes(plane, "big") << x
-    flat = total.to_bytes(count << n, "big")
+    for x, pick in enumerate(picks):
+        total += int.from_bytes(b"".join(pick(cols)), "big") << x
+    packed_reps = total.to_bytes(count * size, "big")
+    reps = [packed_reps[j * count : (j + 1) * count] for j in range(size)]
+    flat = b"".join([reps[j].translate(shift) for j, shift in fill])
     return [flat[i::count] for i in range(count)]
 
 

@@ -80,6 +80,19 @@ def test_phi_tables_match_phi_table_on_relabelled_groups(spec, seed, relabelled)
     assert_batch_matches_phi_table(relabelled(parse_spec(spec), random.Random(seed))[0])
 
 
+@pytest.mark.parametrize("spec,seed", [("C7", None), ("C8", None), ("Q8", None), ("D8", 5)],
+                         ids=["C7", "C8", "Q8", "D8-relabelled"])
+def test_phi_tables_match_phi_table_on_seeded_order_7_and_8_systems(spec, seed, relabelled):
+    # 8- and 16-byte packing blocks, and at order 8 a 256-entry shift row with no padding;
+    # a non-abelian group tells a left shift x*A from a right shift A*x
+    g = parse_spec(spec) if seed is None else relabelled(parse_spec(spec), random.Random(seed))[0]
+    rng = random.Random(spec)
+    sigs = [random_mls(g, rng) for _ in range(40)]
+    tables = phi_tables(g, [s.bits for s in sigs])
+    for sig, t in zip(sigs, tables):
+        assert tuple(t) == phi_table(sig), sig.bits
+
+
 def test_phi_tables_refuse_order_9():
     with pytest.raises(ValueError, match="order 9"):
         phi_tables(make_cyclic(9), [0])

@@ -305,6 +305,28 @@ def test_validation_catches_broken_table():
         validate_associativity(broken)
 
 
+def test_sampled_validation_makes_four_products_per_triple():
+    # 81 elements: past the exhaustive cut-off, so seeded triples are sampled
+    calls = []
+
+    def mul(i, j):
+        calls.append((i, j))
+        return (i + j) % 81
+
+    validate_associativity(FiniteSemigroup(81, mul), samples=500, seed=4)
+    assert len(calls) == 4 * 500
+    assert len(set(calls)) > 100  # the triples vary
+
+
+def test_sampled_validation_catches_a_non_associative_product():
+    # (xy)z = 4x + 2y + z and x(yz) = 2x + 2y + z: they differ whenever x != 0
+    skewed = FiniteSemigroup(81, lambda i, j: (2 * i + j) % 81)
+    with pytest.raises(InvariantError, match="associativity fails") as caught:
+        validate_associativity(skewed, samples=100, seed=7)
+    a, b, c = map(int, str(caught.value).partition("(")[2].rstrip(")").split(","))
+    assert a != 0 and skewed.mul(skewed.mul(a, b), c) != skewed.mul(a, skewed.mul(b, c))
+
+
 # -- the seeded minimal left ideal ------------------------------------------------------------
 
 
