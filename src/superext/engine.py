@@ -262,12 +262,13 @@ def build_projection_idempotent(g: FiniteGroup) -> MlsSignature:
     """Constructs an idempotent of the superextension concretely (orders <= 16).
 
     Identity on the selector family: the least twin set over each orbit
-    representative, carried to each conjugate K by the first x with
-    x*rep*x^-1 = K.  Any other twin set a collapses equivariantly onto the
-    selector twin set of the smallest maximal 2-cogroup containing Fix-(a),
-    read off the group's Fix- table; a non-twin set gets X when it has more
-    than half the elements and empty when it has fewer, and of the two
-    shift orbits at exactly half, the one with the smaller least mask gets X.
+    representative, carried to each conjugate K by its transport element in
+    CogroupOrbit.conjugators, the least x with x*rep*x^-1 = K.  Any other
+    twin set a collapses equivariantly onto the selector twin set of the
+    smallest maximal 2-cogroup containing Fix-(a), read off the group's Fix-
+    table; a non-twin set gets X when it has more than half the elements and
+    empty when it has fewer, and of the two shift orbits at exactly half, the
+    one with the smaller least mask gets X.
     The map is certified by setfam.phi_inverse, the representation
     theorem's inverse, and then checked to be idempotent.  Any failure is
     a hard error.
@@ -278,10 +279,9 @@ def build_projection_idempotent(g: FiniteGroup) -> MlsSignature:
     n = g.order
     target_of = {}  # maximal 2-cogroup -> its selector twin set
     for orbit in cogroup_orbits(g):
-        rep = orbit.representative
-        twin = min(twin_sets_for(rep).twin_masks)
-        for x in range(n):
-            target_of.setdefault(g.conj_mask(x, rep.members), g.shift_mask(x, twin))
+        twin = min(twin_sets_for(orbit.representative).twin_masks)
+        for k, x in zip(orbit.members, orbit.conjugators):
+            target_of[k.members] = g.shift_mask(x, twin)
     maximal = sorted(target_of)
 
     fixm = fix_minus_table(g)

@@ -45,6 +45,7 @@ class CogroupOrbit:
     representative: TwoCogroup
     members: tuple[TwoCogroup, ...] = ()
     characteristic_type: tuple[str, int] = ("C", 1)
+    conjugators: tuple[int, ...] = ()  # the least x with x*rep*x^-1 = members[i]
 
 
 def fix_operators(g: FiniteGroup, a: int) -> tuple[int, int, int]:
@@ -95,35 +96,31 @@ def is_pretwin(g: FiniteGroup, a: int) -> bool:
 # -- 2-cogroups ------------------------------------------------------------------
 
 
-def _conjugators(g: FiniteGroup, stab: int) -> list[int]:
-    """One x per left coset x*Stab(K) other than Stab(K): x*K*x^-1 is constant on each."""
-    if stab == g.full_mask():
-        return []
-    return [c[0] for c in orbits(range(g.order), lambda x: (g.table[x][s] for s in mask_elements(stab)))][1:]
-
-
-def maximal_2cogroups(g: FiniteGroup) -> list[TwoCogroup]:
-    """Stab(K) by definition at the first K of each conjugacy orbit; x*K*x^-1 gets x*Stab(K)*x^-1."""
-    triples, stabs = maximal_cogroup_masks(g), {}
-    for k, _, _ in triples:
-        if k not in stabs:
-            stabs[k] = stab = mask_from_elements(x for x in range(g.order) if g.conj_mask(x, k) == k)
-            stabs.update((g.conj_mask(x, k), g.conj_mask(x, stab)) for x in _conjugators(g, stab))
-    return [TwoCogroup(g, k, kk, kpm, stabs[k]) for k, kk, kpm in triples]
-
-
 def cogroup_orbits(g: FiniteGroup) -> list[CogroupOrbit]:
-    """Conjugation orbits of the maximal 2-cogroups, smallest mask first; one conjugate per coset of Stab(K)."""
+    """Conjugation orbits of the maximal 2-cogroups, smallest mask first, in one
+    walk each: from the least K not yet placed, images[x] = x*K*x^-1 for every x
+    gives Stab(K) = {x : images[x] = K} and the orbit.  Each member K' is
+    reached by the least x with images[x] = K', its transport element in
+    conjugators, and gets Stab(K') = x*Stab(K)*x^-1."""
     def build():
-        cogs = {k.members: k for k in maximal_2cogroups(g)}
+        triples = {t[0]: t for t in maximal_cogroup_masks(g)}  # placed members are popped
         out = []
-        for orbit in orbits(sorted(cogs), lambda m: [m, *(g.conj_mask(x, m) for x in _conjugators(g, cogs[m].stab))]):
-            members = tuple(cogs[m] for m in orbit)
+        while triples:
+            k = min(triples)
+            images = [g.conj_mask(x, k) for x in range(g.order)]
+            stab = mask_from_elements(x for x, c in enumerate(images) if c == k)
+            least = sorted((c, images.index(c)) for c in set(images))
+            members = tuple(TwoCogroup(g, *triples.pop(c), g.conj_mask(x, stab)) for c, x in least)
             _, tag = characteristic_group(members[0])
-            out.append(CogroupOrbit(representative=members[0], members=members, characteristic_type=tag))
+            out.append(CogroupOrbit(members[0], members, tag, tuple(x for _, x in least)))
         return out
 
     return g.memo("cogroup_orbits", build)
+
+
+def maximal_2cogroups(g: FiniteGroup) -> list[TwoCogroup]:
+    """The members of every conjugation orbit, by mask: read off cogroup_orbits."""
+    return sorted((k for orbit in cogroup_orbits(g) for k in orbit.members), key=lambda k: k.members)
 
 
 # -- characteristic groups ----------------------------------------------------------

@@ -20,6 +20,7 @@ from superext.engine import (
 )
 from superext.groups import (
     FgAbelianPresentation,
+    InvariantError,
     all_subgroups,
     direct_product,
     fg_abelian_q,
@@ -147,12 +148,12 @@ def test_structural_m_equals_sum_of_orbit_logs():
 
 
 def test_structural_runs_each_lattice_stage_once_per_group(monkeypatch):
-    # each stage is wrapped where its caller looks it up; only cogroup_orbits caches
+    # each stage is wrapped where its caller looks it up; only cogroup_orbits caches,
+    # and maximal_2cogroups is read off its orbits without running a stage
     from superext import groups, twin
 
-    calls = dict.fromkeys(("all_subgroups", "cogroup_masks", "maximal_cogroup_masks", "maximal_2cogroups"), 0)
-    for module, name in ((groups, "all_subgroups"), (groups, "cogroup_masks"),
-                         (twin, "maximal_cogroup_masks"), (twin, "maximal_2cogroups")):
+    calls = dict.fromkeys(("all_subgroups", "cogroup_masks", "maximal_cogroup_masks"), 0)
+    for module, name in ((groups, "all_subgroups"), (groups, "cogroup_masks"), (twin, "maximal_cogroup_masks")):
         def counted(g, _stage=getattr(module, name), _name=name):
             calls[_name] += 1
             return _stage(g)
@@ -162,6 +163,7 @@ def test_structural_runs_each_lattice_stage_once_per_group(monkeypatch):
     first = analyze_structural(g, "D8")
     assert calls == dict.fromkeys(calls, 1)
     assert analyze_structural(g, "D8") == first
+    assert len(twin.maximal_2cogroups(g)) == 7
     assert calls == dict.fromkeys(calls, 1)
 
 
@@ -468,3 +470,52 @@ def test_cross_check_proves_the_minimal_left_ideal_once(monkeypatch, spec):
     size, ideal_size = check.semigroup.size, len(minimal_left_ideal(check.semigroup))
     assert check.verdict == "agree"
     assert products <= (2 + ideal_size) * size + ideal_size**2, (products, size, ideal_size)
+
+
+# -- internal checks, each driven by a broken collaborator ---------------------------------------
+
+
+@pytest.mark.parametrize("tag, match", [(("C", 2), "not a power of two"), (("C", 0), "disagrees with")])
+def test_structural_refuses_an_orbit_whose_type_does_not_fit(monkeypatch, tag, match):
+    # C4's orbits: K = {2} with [X:K+-] = 2 and H = Stab(K)/KK = C4, and K = {1, 3} with
+    # [X:K+-] = 1 and H = C2.  Typed C4, the second has |H| > |T_K| = 2^[X:K+-];
+    # typed C1, the first disagrees with |H| = 4
+    from dataclasses import replace
+
+    from superext import engine
+
+    g = make_cyclic(4)
+    broken = [replace(orbit, characteristic_type=tag) for orbit in cogroup_orbits(g)]
+    monkeypatch.setattr(engine, "cogroup_orbits", lambda _: broken)
+    with pytest.raises(InvariantError, match=match):
+        analyze_structural(g, "C4")
+
+
+def test_cross_check_refuses_an_idempotent_count_that_is_not_a_power_of_two(monkeypatch):
+    from superext import engine
+    from superext.semigroups import ReesDecomposition
+
+    monkeypatch.setattr(engine, "rees_decompose", lambda s, ideal: ReesDecomposition(3, make_cyclic(1)))
+    with pytest.raises(InvariantError, match="not a power of two"):
+        cross_check(make_cyclic(2), "C2")
+
+
+def test_projection_refuses_a_map_outside_enl(monkeypatch):
+    from superext import engine
+
+    def refuse(e_map, g):
+        raise ValueError("map is not monotone")
+
+    monkeypatch.setattr(engine, "phi_inverse", refuse)
+    with pytest.raises(InvariantError, match="not in Enl"):
+        build_projection_idempotent(make_cyclic(4))
+
+
+def test_projection_refuses_a_map_that_is_not_idempotent(monkeypatch):
+    from dataclasses import replace
+
+    from superext import engine
+
+    monkeypatch.setattr(engine, "circ", lambda a, b: replace(a, bits=a.bits ^ 1))
+    with pytest.raises(InvariantError, match="not idempotent"):
+        build_projection_idempotent(make_cyclic(4))

@@ -68,6 +68,11 @@ def test_left_zero_all_idempotent():
     assert idempotents(sem) == list(range(5))
 
 
+def test_idempotents_refuses_a_product_with_none():
+    with pytest.raises(InvariantError, match="no idempotent"):
+        idempotents(FiniteSemigroup.from_table([[1, 1], [0, 0]]))  # x*y = 1 - x
+
+
 # -- minimal ideals ------------------------------------------------------------------------
 
 
@@ -180,6 +185,27 @@ def test_rees_group_alone():
     assert rees.left_zero_count == 1 and group_isomorphic(rees.group, make_cyclic(6))
 
 
+# x*y on {0, 1, 2}: C2 on {0, 1}, and 0 whenever 2 is a factor.  Only 0 is idempotent,
+# and H_0 = {0, 1}; an ideal with 2 in it breaks one bookkeeping step of the Rees split.
+C2_WITH_A_NILPOTENT = FiniteSemigroup.from_table([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+
+
+@pytest.mark.parametrize("ideal, match", [
+    ({1, 2}, "without idempotents"),
+    ({0, 1, 2}, "size bookkeeping"),
+    ({0, 2}, "not a bijection"),
+])
+def test_rees_refuses_a_set_that_is_not_a_minimal_left_ideal(ideal, match):
+    with pytest.raises(InvariantError, match=match):
+        rees_decompose(C2_WITH_A_NILPOTENT, frozenset(ideal))
+
+
+def test_rees_refuses_idempotents_that_are_not_left_zeros():
+    semilattice = FiniteSemigroup.from_table([[0, 0], [0, 1]])  # x*y = min(x, y)
+    with pytest.raises(InvariantError, match="must be left zeros"):
+        rees_decompose(semilattice, frozenset({0, 1}))
+
+
 # -- End(T_K) ----------------------------------------------------------------------------------
 
 
@@ -250,6 +276,27 @@ def test_end_tk_unit_groups_are_wreath_sized():
             s = idempotent_image_orbits(sem, tk, e)
             h, _ = maximal_subgroup(sem, e)
             assert h.order == expected_unit_group_size(tk, s), (spec, e)
+
+
+def test_end_tk_refuses_a_monoid_over_its_budget(monkeypatch):
+    # C4's K = {2}: T_K is one free orbit of 4 twin sets, so |End(T_K)| = 4^1 * 1^1
+    from superext import semigroups
+
+    monkeypatch.setattr(semigroups, "_END_TK_MAX", 3)
+    with pytest.raises(ValueError, match=r"\|End\(T_K\)\| = 4 exceeds budget 3"):
+        end_tk(maximal_2cogroups(make_cyclic(4))[0])
+
+
+def test_end_tk_refuses_orbits_that_give_equal_maps(monkeypatch):
+    # T_K listed as two copies of its one orbit: the second image overwrites the first
+    from superext import semigroups
+    from superext.twin import TkData, twin_sets_for
+
+    k = maximal_2cogroups(make_cyclic(4))[0]
+    tk = twin_sets_for(k)
+    monkeypatch.setattr(semigroups, "twin_sets_for", lambda _: TkData(tk.twin_masks, tk.orbits * 2))
+    with pytest.raises(InvariantError, match="equal maps"):
+        end_tk(k)
 
 
 # -- semigroup isomorphism ------------------------------------------------------------------------

@@ -221,21 +221,24 @@ def test_orbits_d8():
     assert all(o.characteristic_type == ("C", 1) for o in orbits)
 
 
-@pytest.mark.parametrize("spec", CATALOG_16)
+@pytest.mark.parametrize("spec", CATALOG_16 + ["D8xC2xC2", "Q8xQ8", "D16xC2xC2"])
 def test_orbits_stabilisers_and_types_match_the_definitions(spec, relabelled):
     # all n conjugates and a freshly validated Stab(K), not one per coset or g's own table
     for g in (parse_spec(spec), relabelled(parse_spec(spec), random.Random(spec))[0]):
-        t, inv = g.table, g.inv
+        t, inv, stab_groups = g.table, g.inv, {}
         for orbit in cogroup_orbits(g):
             rep = orbit.representative
-            conjugates = {sum(1 << t[t[x][a]][inv[x]] for a in mask_elements(rep.members)) for x in range(g.order)}
-            assert {k.members for k in orbit.members} == conjugates
+            conjugates = [sum(1 << t[t[x][a]][inv[x]] for a in mask_elements(rep.members)) for x in range(g.order)]
+            assert [k.members for k in orbit.members] == sorted(set(conjugates))
+            assert list(orbit.conjugators) == [conjugates.index(k.members) for k in orbit.members]
             for k in orbit.members:
                 ks = set(mask_elements(k.members))
                 assert k.stab == sum(1 << x for x in range(g.order) if all(t[t[x][a]][inv[x]] in ks for a in ks))
             stab = sorted(mask_elements(rep.stab))
             kk = sum(1 << i for i, e in enumerate(stab) if rep.kk >> e & 1)
-            h, _ = quotient(FiniteGroup(subtable(g.mul, stab)), kk)
+            if rep.stab not in stab_groups:
+                stab_groups[rep.stab] = FiniteGroup(subtable(g.mul, stab))
+            h, _ = quotient(stab_groups[rep.stab], kk)
             assert orbit.characteristic_type == classify_unique_involution_2group(h)
 
 
@@ -396,6 +399,24 @@ def test_twin_sets_for_rejects_a_table_that_disagrees(monkeypatch):
     monkeypatch.setattr(twin, "fix_minus_table", lambda _: tuple(table))
     with pytest.raises(InvariantError, match="Fix- table"):
         twin_sets_for(k)
+
+
+def test_twin_sets_for_refuses_a_count_off_the_index(monkeypatch):
+    k = maximal_2cogroups(make_cyclic(4))[0]  # K = {2} and K+- = {0, 2}: |T_K| = 2^2
+    monkeypatch.setattr(TwoCogroup, "kpm_index", lambda self: 3)
+    with pytest.raises(InvariantError, match=r"\|T_K\| = 4, expected 2\^3"):
+        twin_sets_for(k)
+
+
+def test_twin_sets_for_refuses_an_act_that_is_not_free():
+    # KK plus one y in K as Stab(K) on C2xC2: H would have order 3 // 2 = 1, but y
+    # sends each twin set to its complement, so every orbit has two members
+    from dataclasses import replace
+
+    k = maximal_2cogroups(parse_spec("C2xC2"))[0]
+    assert k.kk.bit_count() == 2
+    with pytest.raises(InvariantError, match="not free"):
+        twin_sets_for(replace(k, stab=k.kk | k.members & -k.members))
 
 
 # -- twinic check -------------------------------------------------------------------------------

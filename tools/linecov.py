@@ -14,9 +14,9 @@ def trace(frame, event, arg):
 def code_lines(code):
     own = {line for _, _, line in code.co_lines() if line}
     return own.union(*(code_lines(c) for c in code.co_consts if hasattr(c, "co_lines")))
-def pytest_configure(config):
-    sys.settrace(trace)
-    threading.settrace(trace)
+# trace from import on: tests/conftest.py imports superext before any pytest hook runs
+sys.settrace(trace)
+threading.settrace(trace)
 def pytest_unconfigure(config):
     sys.settrace(None)
     for name in sorted(f for f in os.listdir(SRC) if f.endswith(".py")):
