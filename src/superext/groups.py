@@ -206,6 +206,18 @@ def gather(idx):
     return itemgetter(*idx)
 
 
+def translate_product(rows, maps):
+    """mult(i, j) = the index of maps[i] o maps[j]: maps[i] is element i as a
+    table of at most 256 bytes, rows[i] its values at points that tell the
+    elements apart, so a product is one bytes.translate and one dict lookup.
+    InvariantError if two rows are equal maps; KeyError for a product not listed."""
+    index = {r: i for i, r in enumerate(rows)}
+    if len(index) != len(rows):
+        raise InvariantError("two elements share a row: equal maps")
+    tables = [m.ljust(256, b"\0") for m in maps]
+    return lambda i, j: index[rows[j].translate(tables[i])]
+
+
 def subtable(mul, elems) -> list[list[int]]:
     """The product mul restricted to elems, renumbered in the given order."""
     elems = list(elems)

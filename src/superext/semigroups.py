@@ -18,6 +18,7 @@ from .groups import (
     greedy_generators,
     mask_elements,
     subtable,
+    translate_product,
 )
 from .twin import TkData, TwoCogroup, twin_sets_for
 
@@ -146,7 +147,8 @@ def rees_decompose(s: FiniteSemigroup, ideal: frozenset[int]) -> ReesDecompositi
 
 
 def end_tk(k: TwoCogroup) -> tuple[FiniteSemigroup, TkData]:
-    """All equivariant self-maps of T_K, one per assignment of orbit images."""
+    """All equivariant self-maps of T_K, one per assignment of orbit images, sorted, each
+    as bytes over the twin indices: twin_sets_for stops at order 16, so |T_K| <= 2^8."""
     tk = twin_sets_for(k)
     g = k.group
     twins = tk.twin_masks
@@ -161,22 +163,14 @@ def end_tk(k: TwoCogroup) -> tuple[FiniteSemigroup, TkData]:
     reps = [orb[0] for orb in tk.orbits]
     maps = []
     for images in iter_product(range(len(twins)), repeat=r):
-        f = [-1] * len(twins)
+        f = bytearray(len(twins))
         for oi, rep in enumerate(reps):
             img = twins[images[oi]]
             for x in stab_elems:
                 f[tid[g.shift_mask(x, rep)]] = tid[g.shift_mask(x, img)]
-        maps.append(tuple(f))
+        maps.append(bytes(f))
     maps.sort()
-    if len(set(maps)) != total:
-        raise InvariantError("distinct orbit assignments gave equal maps")
-    index = {f: i for i, f in enumerate(maps)}
-
-    def mult(i, j):
-        fi, fj = maps[i], maps[j]
-        return index[tuple(fi[v] for v in fj)]
-
-    return FiniteSemigroup(len(maps), mult, labels=maps), tk
+    return FiniteSemigroup(len(maps), translate_product(maps, maps), labels=maps), tk
 
 
 def end_tk_min_ideal_expected(sem: FiniteSemigroup, tk: TkData) -> frozenset[int]:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from operator import index as int_index
 
-from .groups import FiniteGroup, gather, orbits
+from .groups import FiniteGroup, gather, orbits, translate_product
 
 MAX_ENUM_ORDER = 6
 MAX_ENUM_ORDER_WITH_BUDGET = 7
@@ -400,22 +400,12 @@ def phi_tables(g: FiniteGroup, bits: Sequence[int]) -> list[bytes]:
 
 def indexed_circ(g: FiniteGroup, bits: Sequence[int]):
     """mult(i, j) = the index of a o b in bits, for the systems a, b with
-    signatures bits[i], bits[j]; KeyError if a product is not in bits.
-
-    Phi(a o b) = Phi(a) o Phi(b), so the pair row of a o b is b's pair row
-    translated through Phi(a)'s table: one bytes.translate and one dict
-    lookup per product.  phi_tables stops at order 8, so a's table, padded
-    to 256 bytes, is a translate table.
+    signatures bits[i], bits[j].  Phi(a o b) = Phi(a) o Phi(b), so the pair
+    row of a o b is b's pair row translated through Phi(a)'s table, which
+    fits a translate table because phi_tables stops at order 8.
     """
     tables = phi_tables(g, bits)
-    half, pad = 1 << (g.order - 1), bytes(256 - (1 << g.order))
-    rows, maps = [t[:half] for t in tables], [t + pad for t in tables]
-    index = {r: i for i, r in enumerate(rows)}
-
-    def mult(i, j):
-        return index[rows[j].translate(maps[i])]
-
-    return mult
+    return translate_product([t[: 1 << (g.order - 1)] for t in tables], tables)
 
 
 def phi_inverse(f: Sequence[int], g: FiniteGroup) -> MlsSignature:

@@ -33,7 +33,7 @@ from superext.groups import (
 )
 from superext.setfam import circ, enumerate_mls, phi
 from superext.semigroups import FiniteSemigroup, minimal_ideal, minimal_left_ideal
-from superext.twin import cogroup_orbits, twin_sets_for
+from superext.twin import cogroup_orbits, q_counts, twin_sets_for
 
 
 # -- type expression normalization ----------------------------------------------------------
@@ -198,20 +198,34 @@ def test_abelian_m_matches_closed_form():
         assert analyze_structural(g, spec).left_zero_exponent == m, spec
 
 
+def cyclic_2_power_quotients(g):
+    """q(X, C_{2^k}) = #{H : X/H is cyclic of order 2^k}, keyed as q_dict is, from the
+    subgroup lattice and quotients alone, with no cogroup orbit and no hom count."""
+    expected = {}
+    for h in all_subgroups(g):
+        q, _ = quotient(g, h)
+        if q.order > 1 and q.order & (q.order - 1) == 0 and q.order in q.element_orders:
+            key = ("C", q.order.bit_length() - 1)
+            expected[key] = expected.get(key, 0) + 1
+    return expected
+
+
 def test_abelian_q_counts_subgroups_with_cyclic_2_power_quotient():
-    # the abstract's statement as written: q(X, C_{2^k}) = #{H : X/H is cyclic of order 2^k},
-    # from the subgroup lattice and quotients alone, with no cogroup orbit and no hom count
+    # the abstract's statement as written
     abelian = [spec for spec in catalog_specs(16) if parse_spec(spec).is_abelian]
     assert len(abelian) == 23
     for spec in abelian:
         g = parse_spec(spec)
-        expected = {}
-        for h in all_subgroups(g):
-            q, _ = quotient(g, h)
-            if q.order > 1 and q.order & (q.order - 1) == 0 and q.order in q.element_orders:
-                key = ("C", q.order.bit_length() - 1)
-                expected[key] = expected.get(key, 0) + 1
-        assert analyze_structural(g, spec).q_dict() == expected, spec
+        assert analyze_structural(g, spec).q_dict() == cyclic_2_power_quotients(g), spec
+
+
+@pytest.mark.parametrize(
+    "spec", ["C2xC2xC2xC2xC2", "C4xC8", "C2xC16", "C4xC4xC2", "C8xC8", "C4xC4xC4", "C2xC2xC2xC2xC4"]
+)
+def test_abelian_q_counts_above_order_16_match_the_quotient_definition(spec):
+    # q_counts reads the cogroup orbits, which need no shift rows, so it runs past analyze's cap of 16
+    g = parse_spec(spec)
+    assert q_counts(g) == cyclic_2_power_quotients(g)
 
 
 # -- brute analysis -------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from superext.groups import (
     cogroup_masks,
     direct_product,
     fg_abelian_q,
+    find_isomorphism,
     from_cayley_document,
     from_cayley_file,
     group_isomorphic,
@@ -154,6 +155,19 @@ def test_spec_grammar_caps_products():
     assert str(exc.value) == "product order 128 exceeds cap 64 while building 'C4xD8xC4'"
     assert exc.value.position == 6
     assert direct_product(make_cyclic(16), make_cyclic(8)).order == 128
+
+
+def test_finite_group_repr_names_its_order():
+    assert repr(make_cyclic(4)) == "FiniteGroup(order=4)"
+
+
+def test_lattice_and_hom_count_refuse_an_order_above_the_cap():
+    # direct_product has no cap, so C8 x C16 (order 128) reaches the checks of its consumers
+    g = direct_product(make_cyclic(8), make_cyclic(16))
+    with pytest.raises(ValueError, match="order 128 exceeds cap 64"):
+        all_subgroups(g)
+    with pytest.raises(ValueError, match="order 128 exceeds cap 64"):
+        hom_count_to_cyclic2(g, 1)
 
 
 # -- Cayley documents ------------------------------------------------------------------
@@ -412,6 +426,19 @@ def test_quotient_checks_the_coset_projection_row_by_row(monkeypatch):
         quotient(g, 1)
 
 
+def test_quotient_refuses_classes_whose_identity_class_is_not_the_kernel(monkeypatch):
+    # the identity's class is the orbit of 0 under x -> x*N, which is N itself, so only a broken
+    # partition reaches this check: all of C4 as one class is a congruence, but its kernel is not {0, 2}
+    monkeypatch.setattr(groups, "orbits", lambda points, images: [sorted(points)])
+    with pytest.raises(InvariantError, match="wrong kernel"):
+        quotient(make_cyclic(4), 0b0101)
+
+
+def test_a_mask_without_the_identity_is_no_subgroup():
+    # the empty mask is the only product-closed one without the identity
+    assert is_subgroup_mask(make_cyclic(4), 0) is False
+
+
 # -- hom counting -----------------------------------------------------------------------
 
 
@@ -501,6 +528,20 @@ def test_odd_subgroup_builds_the_lattice_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_odd_subgroup_refuses_a_normal_odd_subgroup_outside_the_intersection(monkeypatch):
+    # C3 has no 2-cogroup; a made-up maximal one with KK = {0} leaves C3 itself outside
+    monkeypatch.setattr(groups, "_maximal_triples", lambda triples: [(0, 1, 0)])
+    with pytest.raises(InvariantError, match="escapes the KK intersection"):
+        odd_subgroup(make_cyclic(3))
+
+
+def test_odd_subgroup_refuses_an_intersection_above_the_direct_search(monkeypatch):
+    # with C2's one maximal 2-cogroup dropped the intersection is all of C2, whose odd part is {0}
+    monkeypatch.setattr(groups, "_maximal_triples", lambda triples: [])
+    with pytest.raises(InvariantError, match="disagrees with direct search"):
+        odd_subgroup(make_cyclic(2))
+
+
 # -- q-count consistency (subgroup census vs hom formula, abelian) -------------------------
 
 
@@ -542,6 +583,21 @@ def test_isomorphism_trivial_group():
     for other, same in ((make_cyclic(1), True), (make_cyclic(2), False)):
         assert group_isomorphic(trivial, other) is same
         assert group_isomorphic(other, trivial) is same
+
+
+def test_find_isomorphism_refuses_a_full_assignment_with_an_unmapped_element():
+    # in the null semigroup on {0, 1} the generator 0 reaches only itself, so 1 stays unmapped;
+    # with the -1 read as the last index the product check alone would accept [0, -1]
+    null = [[0, 0], [0, 0]]
+    assert find_isomorphism(null, null, [0], [0, 0], [0, 0]) is None
+
+
+def test_find_isomorphism_refuses_a_bijection_that_keeps_only_the_generator_products():
+    # t2 is C3's table with the entry 0*2 changed: x -> x keeps every product by the generator 1,
+    # which is all that the extension step checks, but not 0*2
+    c3 = make_cyclic(3).table
+    t2 = [[0, 1, 1], [1, 2, 0], [2, 0, 1]]
+    assert find_isomorphism(c3, t2, [1], [0] * 3, [0] * 3) is None
 
 
 # -- fg abelian presentations ---------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from superext.cli import parse_spec
 from superext.engine import build_projection_idempotent, lambda_semigroup
 from superext import setfam
-from superext.groups import make_cyclic
+from superext.groups import InvariantError, make_cyclic
 from superext.setfam import (
     FamilyOfSets,
     circ,
@@ -157,6 +157,14 @@ def test_indexed_circ_refuses_a_product_outside_the_list():
             for j in range(3):
                 mult(i, j)
     indexed_circ(g, [])  # an empty list still builds its (empty) tables
+
+
+def test_indexed_circ_refuses_a_repeated_signature():
+    # equal pair rows would leave the first copy unreachable by any product
+    g = parse_spec("C4")
+    bits = enumerate_mls(g).bits
+    with pytest.raises(InvariantError, match="equal maps"):
+        indexed_circ(g, bits + bits[:1])
 
 
 # -- pair rows with 16-bit fields (orders 9 to 16) --------------------------------------------

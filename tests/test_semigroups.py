@@ -278,6 +278,31 @@ def test_end_tk_unit_groups_are_wreath_sized():
             assert h.order == expected_unit_group_size(tk, s), (spec, e)
 
 
+def composite(fi, fj):
+    """The reference product of End(T_K): v -> fi(fj(v)), as a tuple."""
+    return tuple(fi[v] for v in fj)
+
+
+@pytest.mark.parametrize("spec", ["C4", "C2xC2", "D8", "Q8"])
+def test_end_tk_product_is_the_composition_of_maps(spec):
+    for k in maximal_2cogroups(parse_spec(spec)):
+        sem, _ = end_tk(k)
+        index = {tuple(f): i for i, f in enumerate(sem.labels)}
+        assert len(index) == sem.size
+        for i, fi in enumerate(sem.labels):
+            for j, fj in enumerate(sem.labels):
+                assert sem.mul(i, j) == index[composite(fi, fj)], (spec, i, j)
+
+
+def test_end_tk_product_on_seeded_pairs_of_a4():
+    sem, _ = end_tk(maximal_2cogroups(parse_spec("A4"))[0])
+    assert sem.size == 4096 and list(sem.labels) == sorted(set(sem.labels))
+    index = {tuple(f): i for i, f in enumerate(sem.labels)}
+    rng = random.Random(30)
+    for i, j in zip(rng.choices(range(sem.size), k=2000), rng.choices(range(sem.size), k=2000)):
+        assert sem.mul(i, j) == index[composite(sem.labels[i], sem.labels[j])], (i, j)
+
+
 def test_end_tk_refuses_a_monoid_over_its_budget(monkeypatch):
     # C4's K = {2}: T_K is one free orbit of 4 twin sets, so |End(T_K)| = 4^1 * 1^1
     from superext import semigroups
