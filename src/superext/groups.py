@@ -51,13 +51,14 @@ class FiniteGroup:
         self.order = n = len(self.table)
         if names is not None and len(names) != n:
             raise GroupValidationError("shape", "names length does not match order")
-        e = self._validate()
+        e, gens = self._validate()
         old = list(range(n))
         old[0], old[e] = e, 0
         if e:
-            self.table = tuple(map(tuple, subtable(self.mul, old)))
+            self.table = restrict(self.table, old)
         self.names = tuple(names[i] for i in old) if names is not None else None
         self.renumbering = tuple(old)
+        self.generators = tuple(old[s] for s in gens)  # old swaps two indices: its own inverse
         # x*y = 0 for the one y in row x (a permutation), and then
         # (y*x)*y = y*(x*y) = 0*y forces y*x = 0 (column y is a permutation)
         self.inv = tuple(row.index(0) for row in self.table)
@@ -66,8 +67,14 @@ class FiniteGroup:
 
     # -- construction-time validation -------------------------------------
 
-    def _validate(self) -> int:
-        """The identity's index, once the table passes every axiom."""
+    def _validate(self) -> tuple[int, list[int]]:
+        """The identity's index and a generating set S, once the table passes every axiom.
+
+        Associativity is Light's test (Clifford & Preston I, 1.2) on S: a is good when the rows
+        t[x*a] are the rows t[x] read at row a.  Good a, b give a good ab, by a, b, a, b in turn:
+        (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).  The identity is good, and closure
+        reaches the rest as left-normed products (..(s1*s2)*..)*sk of S.  On a failure the full
+        scan names the lexicographically first triple."""
         n, t = self.order, self.table
         columns = list(zip(*t))
         for i in range(n):
@@ -79,27 +86,22 @@ class FiniteGroup:
         e = columns[0].index(0)  # an identity e has e*0 = 0, and column 0 holds 0 once
         if t[e] != ident or columns[e] != ident:
             raise GroupValidationError("identity", "no element is a two-sided identity")
-        witness = associativity_witness(t)
-        if witness is not None:
-            i, j, k = witness
-            raise GroupValidationError("associativity", f"({i}*{j})*{k} != {i}*({j}*{k})", witness=witness)
-        return e
+        gens = greedy_generators(t, [x for x in ident if x != e])
+        if any(gather(columns[a])(t) != tuple(map(gather(t[a]), t)) for a in gens):
+            i, j, k = associativity_witness(t)
+            raise GroupValidationError("associativity", f"({i}*{j})*{k} != {i}*({j}*{k})", witness=(i, j, k))
+        return e, gens
 
     # -- basic arithmetic ---------------------------------------------------
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def conj(self, x: int, a: int) -> int:
-        """x * a * x^-1."""
-        return self.table[self.table[x][a]][self.inv[x]]
-
     def conj_mask(self, x: int, mask: int) -> int:
         """{x*a*x^-1 : a in mask} as a mask."""
-        out = 0
-        for a in mask_elements(mask):
-            out |= 1 << self.conj(x, a)
-        return out
+        return sum(gather(list(mask_elements(mask)))(self.conj_bits[x]))
+
+    def conj_images(self, mask: int) -> list[int]:
+        """x*mask*x^-1 for every x: one gather of the masked bits of conj_bits[x] each."""
+        at = gather(list(mask_elements(mask)))
+        return [sum(at(row)) for row in self.conj_bits]
 
     def element_order(self, x: int) -> int:
         k, y = 1, x
@@ -119,25 +121,27 @@ class FiniteGroup:
         return self.memo("orders", lambda: tuple(self.element_order(x) for x in range(self.order)))
 
     @property
+    def col_bits(self) -> list[tuple[int, ...]]:  # col_bits[z][a] = 1 << a*z
+        build = lambda bits: [gather(col)(bits) for col in zip(*self.table)]
+        return self.memo("col_bits", lambda: build([1 << v for v in range(self.order)]))
+
+    @property
+    def conj_bits(self) -> list[tuple[int, ...]]:  # 1 << x*a*x^-1: column x^-1 read at row x
+        inverse_cols = lambda: gather(self.inv)(self.col_bits)
+        return self.memo("conj_bits", lambda: [gather(row)(col) for row, col in zip(self.table, inverse_cols())])
+
+    @property
     def is_abelian(self) -> bool:
         return self.memo("abelian", lambda: self.center_mask() == self.full_mask())
 
     def center_mask(self) -> int:
-        m = 0
-        for x in range(self.order):
-            if all(self.table[x][y] == self.table[y][x] for y in range(self.order)):
-                m |= 1 << x
-        return m
+        """x is central iff row x is column x."""
+        return sum(1 << x for x, col in enumerate(zip(*self.table)) if self.table[x] == col)
 
     def derived_subgroup_mask(self) -> int:
-        def build():
-            gens = set()
-            for a in range(self.order):
-                for b in range(self.order):
-                    gens.add(self.table[self.table[self.table[a][b]][self.inv[a]]][self.inv[b]])
-            return subgroup_closure(self, mask_from_elements(gens))
-
-        return self.memo("derived", build)
+        t, inv, r = self.table, self.inv, range(self.order)
+        commutators = lambda: {t[t[t[a][b]][inv[a]]][inv[b]] for a in r for b in r}  # a*b*a^-1*b^-1
+        return self.memo("derived", lambda: subgroup_closure(self, mask_from_elements(commutators())))
 
     # -- subset masks ---------------------------------------------------------
 
@@ -199,11 +203,11 @@ def mask_elements(mask: int):
 
 def gather(idx):
     """seq -> tuple(seq[i] for i in idx) at C speed; a bare itemgetter of
-    one index would return a scalar."""
-    if len(idx) == 1:
-        i = idx[0]
-        return lambda seq: (seq[i],)
-    return itemgetter(*idx)
+    one index would return a scalar, and one of none would raise."""
+    if len(idx) != 1:
+        return itemgetter(*idx) if idx else lambda seq: ()
+    i = idx[0]
+    return lambda seq: (seq[i],)
 
 
 def translate_product(rows, maps):
@@ -223,6 +227,13 @@ def subtable(mul, elems) -> list[list[int]]:
     elems = list(elems)
     pos = {e: i for i, e in enumerate(elems)}
     return [[pos[mul(a, b)] for b in elems] for a in elems]
+
+
+def restrict(table, elems, label=None) -> tuple[tuple[int, ...], ...]:
+    """table restricted to the list elems by gathers, each product relabelled
+    by label (by default its position in elems, KeyError outside elems)."""
+    at, label = gather(elems), label or {e: i for i, e in enumerate(elems)}
+    return tuple(gather(at(row))(label) for row in at(table))
 
 
 def associativity_witness(table) -> tuple[int, int, int] | None:
@@ -356,21 +367,23 @@ def to_cayley_document(g: FiniteGroup) -> dict:
 # -- subgroups ------------------------------------------------------------------
 
 
-def closure(table, mask: int) -> int:
+def closure(table, mask: int, coset=None, base: int = 0) -> int:
     """Smallest mask containing mask and closed under the product of table.
 
     Every product s1...sk of masked elements is (s1...s(k-1))*sk, so closing
     under right multiplication by the masked elements alone reaches them all.
+    In a group, with coset(z) the right coset h*z of a subgroup h that masked
+    elements generate, and base the union of h and their cosets, the walk adds
+    whole cosets and steps from one element of each: (h*y)*s = h*(y*s).
     """
     gens = list(mask_elements(mask))
-    seen = mask
-    frontier = gens[:]
+    seen, frontier = mask | base, gens[:]
     while frontier:
         row = table[frontier.pop()]
         for s in gens:
             z = row[s]
             if not seen >> z & 1:
-                seen |= 1 << z
+                seen |= 1 << z if coset is None else coset(z)
                 frontier.append(z)
     return seen
 
@@ -390,29 +403,32 @@ def is_subgroup_mask(g: FiniteGroup, mask: int) -> bool:
 
 
 def is_normal_mask(g: FiniteGroup, mask: int) -> bool:
-    return all(g.conj_mask(x, mask) == mask for x in range(g.order))
+    return all(c == mask for c in g.conj_images(mask))
 
 
 def all_subgroups(g: FiniteGroup) -> list[int]:
     """Complete duplicate-free list of subgroup masks, by (size, mask),
     found by generator extension.  <h, a*x> = <h, x> for every a in h, so h
     is extended by the least x of each right coset h*x other than h itself:
-    [X:h] - 1 closures per subgroup h, not n - |h|."""
+    [X:h] - 1 closures per subgroup h, not n - |h|, each walking the right
+    cosets of h that make up <h, x>."""
     if g.order > MAX_GROUP_ORDER:
         raise ValueError(f"order {g.order} exceeds cap {MAX_GROUP_ORDER}")
-    columns = list(zip(*g.table))
+    col_bits = g.col_bits
     found = {1: 0}  # each subgroup found -> a mask of generators of it
     frontier = [1]
     while frontier:
         h = frontier.pop()
-        coset_at = gather(list(mask_elements(h)))  # column x -> the right coset h*x
-        covered = set(coset_at(columns[0]))
+        at = gather(list(mask_elements(h)))
+        coset = lambda z, at=at: sum(at(col_bits[z]))  # the right coset h*z, read off column z
+        covered = h
         for x in range(1, g.order):
-            if x in covered:
+            if covered >> x & 1:
                 continue
-            covered.update(coset_at(columns[x]))
+            hx = coset(x)
+            covered |= hx
             gens = found[h] | 1 << x
-            k = closure(g.table, gens)
+            k = closure(g.table, gens, coset, h | hx)
             if k not in found:
                 found[k] = gens
                 frontier.append(k)
@@ -421,12 +437,9 @@ def all_subgroups(g: FiniteGroup) -> list[int]:
 
 def orbits(points, images) -> list[list[int]]:
     """The partition of points into the sorted sets images(p), one per point
-    p not yet covered, in the order of those points.
-
-    images(p) must hold p, as the orbit of p under a group action does.
-    """
-    seen = set()
-    out = []
+    p not yet covered, in the order of those points.  images(p) must hold p,
+    as the orbit of p under a group action does."""
+    seen, out = set(), []
     for p in points:
         if p not in seen:
             orbit = sorted(set(images(p)))
@@ -443,17 +456,18 @@ def quotient(g: FiniteGroup, mask: int) -> tuple[FiniteGroup, list[int]]:
     their least elements, plus coset_of[x], the coset of x."""
     if not is_subgroup_mask(g, mask):
         raise ValueError("quotient requires a normal subgroup")
-    cosets = orbits(range(g.order), lambda x: (g.table[x][h] for h in mask_elements(mask)))
+    at = gather(list(mask_elements(mask)))
+    cosets = orbits(range(g.order), lambda x: at(g.table[x]))  # x*N is row x read at N
     reps = [c[0] for c in cosets]
-    coset_of = [0] * g.order
-    for i, c in enumerate(cosets):
-        for x in c:
-            coset_of[x] = i
+    coset_of = list(gather(range(g.order))({x: i for i, c in enumerate(cosets) for x in c}))
     # a subgroup N is normal iff N*r = r*N for every representative r (then x^-1 N x = N on r*N)
-    if any(coset_of[g.table[h][r]] != coset_of[r] for r in reps for h in mask_elements(mask)):
+    reps_at, own = gather(reps), tuple(range(len(reps)))
+    if any(gather(reps_at(row))(coset_of) != own for row in at(g.table)):
         raise ValueError("quotient requires a normal subgroup")
-    q = FiniteGroup(subtable(lambda a, b: reps[coset_of[g.table[a][b]]], reps))
-    for x in range(g.order):  # whole rows: the cosets of x*y against coset(x)*coset(y)
+    q = FiniteGroup(restrict(g.table, reps, coset_of))
+    # c(x*y) against c(x)*c(y) for the generators x of g: the x that pass are closed under products,
+    # c((ab)y) = c(a(by)) = c(a)(c(b)c(y)) = (c(a)c(b))c(y) = c(ab)c(y) as q is associative
+    for x in g.generators:
         if gather(g.table[x])(coset_of) != gather(coset_of)(q.table[coset_of[x]]):
             raise InvariantError(f"coset projection is not a homomorphism at {x}")
     if mask_from_elements(x for x, c in enumerate(coset_of) if c == 0) != mask:
@@ -688,14 +702,14 @@ class FgAbelianPresentation:
         return count
 
 
-def fg_abelian_q(p: FgAbelianPresentation, k) -> "int | str":
+def fg_abelian_q(p: FgAbelianPresentation, k) -> int:
     """Number of subgroups with cyclic 2-power quotient of the given exponent.
 
-    For the infinity token the count is not a finite number; a symbolic
-    marker "zero" / "positive" is returned instead.
+    For the infinity token it is 0: a quotient of a finitely generated group
+    is finitely generated, and C_{2^infinity} is not.
     """
     if k == INFINITY:
-        return "zero" if p.free_rank == 0 else "positive"
+        return 0
     if not isinstance(k, int) or k < 1:
         raise ValueError("exponent must be a positive integer or the infinity token")
     return (p.hom_count_to_cyclic2(k) - p.hom_count_to_cyclic2(k - 1)) // 2 ** (k - 1)

@@ -21,8 +21,8 @@ from .groups import (
     maximal_cogroup_masks,
     orbits,
     quotient,
+    restrict,
     subgroup_closure,
-    subtable,
 )
 
 Tag = tuple[str, int]  # ("C", k) is C_{2^k}, ("Q", k) is Q_{2^k}
@@ -107,7 +107,7 @@ def cogroup_orbits(g: FiniteGroup) -> list[CogroupOrbit]:
         out = []
         while triples:
             k = min(triples)
-            images = [g.conj_mask(x, k) for x in range(g.order)]
+            images = g.conj_images(k)
             stab = mask_from_elements(x for x, c in enumerate(images) if c == k)
             least = sorted((c, images.index(c)) for c in set(images))
             members = tuple(TwoCogroup(g, *triples.pop(c), g.conj_mask(x, stab)) for c, x in least)
@@ -142,8 +142,8 @@ def cq_factors(h: FiniteGroup) -> dict[Tag, int]:
         return {("C", n.bit_length() - 1): 1} if n > 1 else {}
     if h.is_abelian:
         return dict(Counter(("C", f.bit_length() - 1) for f in invariant_factors(h)))
-    derived = FiniteGroup(subtable(h.mul, mask_elements(h.derived_subgroup_mask())))
-    centre = FiniteGroup(subtable(h.mul, mask_elements(h.center_mask())))
+    derived = FiniteGroup(restrict(h.table, list(mask_elements(h.derived_subgroup_mask()))))
+    centre = FiniteGroup(restrict(h.table, list(mask_elements(h.center_mask()))))
     if derived.is_abelian:
         tags = Counter(("Q", f.bit_length() + 1) for f in invariant_factors(derived))
         tags[("C", 1)] -= sum(tags.values())
@@ -169,10 +169,11 @@ def classify_unique_involution_2group(h: FiniteGroup) -> Tag:
 def characteristic_group(k: TwoCogroup) -> tuple[FiniteGroup, tuple[str, int]]:
     """Stab(K)/KK with its cyclic-or-quaternion classification tag.  Stab(K) = X
     is g itself, validated when g was built; a proper Stab(K) is validated here."""
-    g = k.group
-    stab_elems = sorted(mask_elements(k.stab))
-    stab_group = g if k.stab == g.full_mask() else FiniteGroup(subtable(g.mul, stab_elems))
-    h, _ = quotient(stab_group, mask_from_elements(i for i, e in enumerate(stab_elems) if k.kk >> e & 1))
+    g, kk = k.group, k.kk
+    if k.stab != g.full_mask():  # KK renumbered by position in Stab(K)
+        elems = list(mask_elements(k.stab))
+        g, kk = FiniteGroup(restrict(g.table, elems)), mask_from_elements(map(elems.index, mask_elements(kk)))
+    h, _ = quotient(g, kk)
     return h, classify_unique_involution_2group(h)
 
 

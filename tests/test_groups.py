@@ -1,7 +1,12 @@
 """Group constructors, subgroup machinery, hom counts, odd subgroup."""
 
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +19,7 @@ from superext.groups import (
     InvariantError,
     SpecError,
     all_subgroups,
+    associativity_witness,
     closure,
     cogroup_masks,
     direct_product,
@@ -198,6 +204,67 @@ def test_document_nonassociative_names_triple():
     assert exc.value.witness == first == (1, 1, 2)
 
 
+def _relabel_table(t, rng):
+    n = len(t)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    out = [[0] * n for _ in range(n)]
+    for i, row in enumerate(t):
+        for j, v in enumerate(row):
+            out[perm[i]][perm[j]] = perm[v]
+    return out
+
+
+def _intercalate_loops(rng, count):
+    """Loops of order 6 and 8: the table of C6, C8 or D8 with one intercalate
+    t[i][k] = t[j][l], t[i][l] = t[j][k] swapped for i, j, k, l other than the
+    identity 0 (rows and columns stay permutations, 0 stays the identity),
+    then relabelled at random, the identity included."""
+    loops = []
+    for _ in range(count):
+        t = [list(row) for row in rng.choice((make_cyclic(6), make_cyclic(8), make_dihedral(8))).table]
+        pairs = list(combinations(range(1, len(t)), 2))
+        squares = [(i, j, k, l) for i, j in pairs for k, l in pairs if t[i][k] == t[j][l] and t[i][l] == t[j][k]]
+        i, j, k, l = rng.choice(squares)
+        t[i][k], t[i][l], t[j][k], t[j][l] = t[i][l], t[i][k], t[j][l], t[j][k]
+        loops.append(_relabel_table(t, rng))
+    return loops
+
+
+def test_light_test_refuses_what_the_full_scan_refuses_with_its_witness():
+    # Light's test checks associativity at a generating set only; every one of these loops is
+    # non-associative, and each must be refused with the full scan's lexicographically first triple
+    rng = random.Random(31)
+    loops = [_relabel_table(NONASSOCIATIVE_LOOP, rng) for _ in range(10)] + _intercalate_loops(rng, 60)
+    for t in [NONASSOCIATIVE_LOOP] + loops:
+        first = next(
+            ((i, j, k) for i in range(len(t)) for j in range(len(t)) for k in range(len(t))
+             if t[t[i][j]][k] != t[i][t[j][k]]),
+            None,
+        )
+        assert first is not None and associativity_witness(t) == first
+        with pytest.raises(GroupValidationError) as exc:
+            from_cayley_document({"order": len(t), "table": t})
+        assert exc.value.kind == "associativity" and exc.value.witness == first
+
+
+def test_every_relabelled_catalog_group_validates_with_its_generators(relabelled):
+    rng = random.Random(7)
+    for spec in catalog_specs(16):
+        h, _ = relabelled(parse_spec(spec), rng)
+        assert 0 not in h.generators and closure(h.table, mask_from_elements(h.generators)) | 1 == h.full_mask()
+
+
+def test_a_valid_table_skips_the_full_associativity_scan(monkeypatch):
+    # the n^3 scan runs only to name the witness of a table Light's test refuses
+    def refuse(table):
+        raise AssertionError("full scan on a valid table")
+
+    monkeypatch.setattr(groups, "associativity_witness", refuse)
+    for spec in ("D16", "Q16", "C2xC2xC2xC2", "A4"):
+        FiniteGroup(parse_spec(spec).table)
+
+
 def test_document_latin_square_error():
     with pytest.raises(GroupValidationError) as exc:
         from_cayley_document({"order": 2, "table": [[0, 0], [1, 1]]})
@@ -336,12 +403,64 @@ def test_c2_6_has_63_maximal_2cogroups_the_complements_of_its_index_2_subgroups(
 
 @pytest.mark.parametrize("spec, calls", [("C2xC2xC2xC2", 240), ("D8", 25), ("A4", 40), ("Q16", 40)])
 def test_all_subgroups_takes_one_closure_per_right_coset(monkeypatch, spec, calls):
-    # <h, a*x> = <h, x> for a in h: one closure per right coset h*x other than h, sum of [X:h] - 1
+    # <h, a*x> = <h, x> for a in h: one coset walk per right coset h*x other than h, sum of [X:h] - 1
     g = parse_spec(spec)
     masks = []
-    monkeypatch.setattr(groups, "closure", lambda table, mask: masks.append(mask) or closure(table, mask))
+
+    def counted(table, mask, coset=None, base=0):
+        assert coset is not None  # every extension walks cosets, none steps element by element
+        masks.append(mask)
+        return closure(table, mask, coset, base)
+
+    monkeypatch.setattr(groups, "closure", counted)
     subs = all_subgroups(g)
     assert len(masks) == sum(g.order // h.bit_count() - 1 for h in subs) == calls
+
+
+def _element_lattice(g):
+    """Every subgroup mask: h is extended by the least element of each right coset h*x, and each
+    extension is closed one element at a time under right products by its generators."""
+    def close(gens):
+        seen, frontier = gens, list(mask_elements(gens))
+        while frontier:
+            y = frontier.pop()
+            for s in mask_elements(gens):
+                z = g.table[y][s]
+                if not seen >> z & 1:
+                    seen |= 1 << z
+                    frontier.append(z)
+        return seen
+
+    found, frontier = {1: 0}, [1]
+    while frontier:
+        h = frontier.pop()
+        covered = h
+        for x in range(g.order):
+            if not covered >> x & 1:
+                covered |= mask_from_elements(g.table[a][x] for a in mask_elements(h))
+                k = close(found[h] | 1 << x)
+                if k not in found:
+                    found[k] = found[h] | 1 << x
+                    frontier.append(k)
+    return sorted(found, key=lambda m: (m.bit_count(), m))
+
+
+@pytest.mark.parametrize("spec", ["C2xC2xC2xC2xC2xC2", "D16xC2xC2", "Q8xQ8", "C4xC4xC4"])
+def test_coset_walk_lattice_matches_an_element_closure_at_order_64(spec, relabelled):
+    h, _ = relabelled(parse_spec(spec), random.Random(64))
+    assert all_subgroups(h) == _element_lattice(h)
+
+
+def test_conj_images_are_the_conjugates_by_definition():
+    for spec in catalog_specs():
+        g = parse_spec(spec)
+        t, inv = g.table, g.inv
+        masks = all_subgroups(g) + [k for k, _, _ in maximal_cogroup_masks(g)] + [0, g.full_mask() - 1]
+        for mask in masks:
+            conjugates = [mask_from_elements(t[t[x][a]][inv[x]] for a in mask_elements(mask)) for x in range(g.order)]
+            assert g.conj_images(mask) == conjugates, (spec, mask)
+            assert [g.conj_mask(x, mask) for x in range(g.order)] == conjugates
+            assert is_normal_mask(g, mask) == (set(conjugates) == {mask})
 
 
 def test_maximal_cogroups_match_the_all_pairs_definition():
@@ -418,12 +537,38 @@ def test_quotient_rejects_a_mask_that_is_not_a_normal_subgroup():
 
 
 def test_quotient_checks_the_coset_projection_row_by_row(monkeypatch):
-    # a valid C4 table with 1 and 2 swapped: the swap is no automorphism of C4
+    # a valid C4 table with 1 and 2 swapped: the swap is no automorphism of C4; the check reads
+    # the row of each generator of g, and C4's one generator is 1
     swapped = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 1, 0], [3, 2, 0, 1]]
     g = make_cyclic(4)
-    monkeypatch.setattr(groups, "subtable", lambda mul, elems: swapped)
+    assert g.generators == (1,)
+    monkeypatch.setattr(groups, "restrict", lambda table, elems, label=None: swapped)
     with pytest.raises(InvariantError, match="not a homomorphism at 1"):
         quotient(g, 1)
+
+
+def test_refusals_survive_python_dash_o():
+    # python -O strips assert statements: both checks must still raise
+    code = (
+        "import sys\n"
+        "from superext import groups\n"
+        "print(sys.flags.optimize)\n"
+        "try:\n"
+        f"    groups.from_cayley_document({{'order': 5, 'table': {NONASSOCIATIVE_LOOP!r}}})\n"
+        "except groups.GroupValidationError as exc:\n"
+        "    print(exc.kind, exc.witness)\n"
+        "g = groups.make_cyclic(4)\n"
+        "groups.restrict = lambda table, elems, label=None: [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 1, 0], [3, 2, 0, 1]]\n"
+        "try:\n"
+        "    groups.quotient(g, 1)\n"
+        "except groups.InvariantError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["1", "associativity (1, 1, 2)", "coset projection is not a homomorphism at 1"]
 
 
 def test_quotient_refuses_classes_whose_identity_class_is_not_the_kernel(monkeypatch):
@@ -621,8 +766,9 @@ def test_fg_abelian_q_odd():
 
 
 def test_fg_abelian_q_infinity_marker():
-    assert fg_abelian_q(FgAbelianPresentation(0, (2, 4)), INFINITY) == "zero"
-    assert fg_abelian_q(FgAbelianPresentation(2, (6,)), INFINITY) == "positive"
+    # a quotient of a finitely generated group is finitely generated, and C_{2^infinity} is not
+    for p in (FgAbelianPresentation(0, (2, 4)), FgAbelianPresentation(2, (6,)), FgAbelianPresentation(1)):
+        assert fg_abelian_q(p, INFINITY) == 0
 
 
 def test_fg_abelian_invariant_factor_validation():
@@ -711,7 +857,7 @@ def test_shift_row_is_the_elementwise_product(spec):
         row = g.shift_row(x)
         assert len(row) == 1 << g.order
         for m in [0, g.full_mask()] + rng.sample(range(1 << g.order), 64):
-            assert row[m] == mask_from_elements(g.mul(x, a) for a in mask_elements(m)), (spec, x, m)
+            assert row[m] == mask_from_elements(g.table[x][a] for a in mask_elements(m)), (spec, x, m)
 
 
 def test_deeply_nested_file_is_a_shape_error(tmp_path):
