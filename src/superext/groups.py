@@ -94,6 +94,13 @@ class FiniteGroup:
 
     # -- basic arithmetic ---------------------------------------------------
 
+    def mul(self, a: int, b: int) -> int:
+        return self.table[a][b]
+
+    def conj(self, x: int, a: int) -> int:
+        """x * a * x^-1."""
+        return self.table[self.table[x][a]][self.inv[x]]
+
     def conj_mask(self, x: int, mask: int) -> int:
         """{x*a*x^-1 : a in mask} as a mask."""
         return sum(gather(list(mask_elements(mask)))(self.conj_bits[x]))
@@ -121,27 +128,36 @@ class FiniteGroup:
         return self.memo("orders", lambda: tuple(self.element_order(x) for x in range(self.order)))
 
     @property
-    def col_bits(self) -> list[tuple[int, ...]]:  # col_bits[z][a] = 1 << a*z
-        build = lambda bits: [gather(col)(bits) for col in zip(*self.table)]
-        return self.memo("col_bits", lambda: build([1 << v for v in range(self.order)]))
+    def conj_bits(self) -> list[tuple[int, ...]]:
+        """conj_bits[x][a] = 1 << x*a*x^-1: column x^-1, as bits, read at row x."""
 
-    @property
-    def conj_bits(self) -> list[tuple[int, ...]]:  # 1 << x*a*x^-1: column x^-1 read at row x
-        inverse_cols = lambda: gather(self.inv)(self.col_bits)
-        return self.memo("conj_bits", lambda: [gather(row)(col) for row, col in zip(self.table, inverse_cols())])
+        def build():
+            bits = [1 << v for v in range(self.order)]
+            columns = [gather(col)(bits) for col in zip(*self.table)]
+            return [gather(row)(columns[i]) for row, i in zip(self.table, self.inv)]
+
+        return self.memo("conj_bits", build)
 
     @property
     def is_abelian(self) -> bool:
         return self.memo("abelian", lambda: self.center_mask() == self.full_mask())
 
     def center_mask(self) -> int:
-        """x is central iff row x is column x."""
-        return sum(1 << x for x, col in enumerate(zip(*self.table)) if self.table[x] == col)
+        m = 0
+        for x in range(self.order):
+            if all(self.table[x][y] == self.table[y][x] for y in range(self.order)):
+                m |= 1 << x
+        return m
 
     def derived_subgroup_mask(self) -> int:
-        t, inv, r = self.table, self.inv, range(self.order)
-        commutators = lambda: {t[t[t[a][b]][inv[a]]][inv[b]] for a in r for b in r}  # a*b*a^-1*b^-1
-        return self.memo("derived", lambda: subgroup_closure(self, mask_from_elements(commutators())))
+        def build():
+            gens = set()
+            for a in range(self.order):
+                for b in range(self.order):
+                    gens.add(self.table[self.table[self.table[a][b]][self.inv[a]]][self.inv[b]])
+            return subgroup_closure(self, mask_from_elements(gens))
+
+        return self.memo("derived", build)
 
     # -- subset masks ---------------------------------------------------------
 
@@ -204,10 +220,10 @@ def mask_elements(mask: int):
 def gather(idx):
     """seq -> tuple(seq[i] for i in idx) at C speed; a bare itemgetter of
     one index would return a scalar, and one of none would raise."""
-    if len(idx) != 1:
-        return itemgetter(*idx) if idx else lambda seq: ()
-    i = idx[0]
-    return lambda seq: (seq[i],)
+    if len(idx) == 1:
+        i = idx[0]
+        return lambda seq: (seq[i],)
+    return itemgetter(*idx) if idx else lambda seq: ()
 
 
 def translate_product(rows, maps):
@@ -367,23 +383,21 @@ def to_cayley_document(g: FiniteGroup) -> dict:
 # -- subgroups ------------------------------------------------------------------
 
 
-def closure(table, mask: int, coset=None, base: int = 0) -> int:
+def closure(table, mask: int) -> int:
     """Smallest mask containing mask and closed under the product of table.
 
     Every product s1...sk of masked elements is (s1...s(k-1))*sk, so closing
     under right multiplication by the masked elements alone reaches them all.
-    In a group, with coset(z) the right coset h*z of a subgroup h that masked
-    elements generate, and base the union of h and their cosets, the walk adds
-    whole cosets and steps from one element of each: (h*y)*s = h*(y*s).
     """
     gens = list(mask_elements(mask))
-    seen, frontier = mask | base, gens[:]
+    seen = mask
+    frontier = gens[:]
     while frontier:
         row = table[frontier.pop()]
         for s in gens:
             z = row[s]
             if not seen >> z & 1:
-                seen |= 1 << z if coset is None else coset(z)
+                seen |= 1 << z
                 frontier.append(z)
     return seen
 
@@ -410,25 +424,22 @@ def all_subgroups(g: FiniteGroup) -> list[int]:
     """Complete duplicate-free list of subgroup masks, by (size, mask),
     found by generator extension.  <h, a*x> = <h, x> for every a in h, so h
     is extended by the least x of each right coset h*x other than h itself:
-    [X:h] - 1 closures per subgroup h, not n - |h|, each walking the right
-    cosets of h that make up <h, x>."""
+    [X:h] - 1 closures per subgroup h, not n - |h|."""
     if g.order > MAX_GROUP_ORDER:
         raise ValueError(f"order {g.order} exceeds cap {MAX_GROUP_ORDER}")
-    col_bits = g.col_bits
+    columns = list(zip(*g.table))
     found = {1: 0}  # each subgroup found -> a mask of generators of it
     frontier = [1]
     while frontier:
         h = frontier.pop()
-        at = gather(list(mask_elements(h)))
-        coset = lambda z, at=at: sum(at(col_bits[z]))  # the right coset h*z, read off column z
-        covered = h
+        coset_at = gather(list(mask_elements(h)))  # column x -> the right coset h*x
+        covered = set(coset_at(columns[0]))
         for x in range(1, g.order):
-            if covered >> x & 1:
+            if x in covered:
                 continue
-            hx = coset(x)
-            covered |= hx
+            covered.update(coset_at(columns[x]))
             gens = found[h] | 1 << x
-            k = closure(g.table, gens, coset, h | hx)
+            k = closure(g.table, gens)
             if k not in found:
                 found[k] = gens
                 frontier.append(k)
@@ -437,9 +448,12 @@ def all_subgroups(g: FiniteGroup) -> list[int]:
 
 def orbits(points, images) -> list[list[int]]:
     """The partition of points into the sorted sets images(p), one per point
-    p not yet covered, in the order of those points.  images(p) must hold p,
-    as the orbit of p under a group action does."""
-    seen, out = set(), []
+    p not yet covered, in the order of those points.
+
+    images(p) must hold p, as the orbit of p under a group action does.
+    """
+    seen = set()
+    out = []
     for p in points:
         if p not in seen:
             orbit = sorted(set(images(p)))
@@ -459,7 +473,10 @@ def quotient(g: FiniteGroup, mask: int) -> tuple[FiniteGroup, list[int]]:
     at = gather(list(mask_elements(mask)))
     cosets = orbits(range(g.order), lambda x: at(g.table[x]))  # x*N is row x read at N
     reps = [c[0] for c in cosets]
-    coset_of = list(gather(range(g.order))({x: i for i, c in enumerate(cosets) for x in c}))
+    coset_of = [0] * g.order
+    for i, c in enumerate(cosets):
+        for x in c:
+            coset_of[x] = i
     # a subgroup N is normal iff N*r = r*N for every representative r (then x^-1 N x = N on r*N)
     reps_at, own = gather(reps), tuple(range(len(reps)))
     if any(gather(reps_at(row))(coset_of) != own for row in at(g.table)):

@@ -190,7 +190,7 @@ def test_criterion_05_twin_and_cogroup_suite():
             for x in range(g.order):
                 expected = 0
                 for z in mask_elements(fixm):
-                    expected |= 1 << g.table[g.table[x][z]][g.inv[x]]
+                    expected |= 1 << g.conj(x, z)
                 if fix_operators(g, g.shift_mask(x, a))[1] != expected:
                     failures.append(f"{spec}: Fix- conjugation fails at ({x},{a})")
         if failures:

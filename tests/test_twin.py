@@ -133,7 +133,7 @@ def test_fix_minus_conjugation_exhaustive():
                 shifted = fix_operators(g, g.shift_mask(x, a))[1]
                 expected = 0
                 for z in mask_elements(fixm):
-                    expected |= 1 << g.table[g.table[x][z]][g.inv[x]]
+                    expected |= 1 << g.conj(x, z)
                 assert shifted == expected, (spec, a, x)
 
 
@@ -186,7 +186,7 @@ def test_cogroup_invariants():
                     continue
                 conj = 0
                 for z in mask_elements(kk):
-                    conj |= 1 << g.table[g.table[x][z]][g.inv[x]]
+                    conj |= 1 << g.conj(x, z)
                 assert conj == kk
 
 
@@ -237,7 +237,7 @@ def test_orbits_stabilisers_and_types_match_the_definitions(spec, relabelled):
             stab = sorted(mask_elements(rep.stab))
             kk = sum(1 << i for i, e in enumerate(stab) if rep.kk >> e & 1)
             if rep.stab not in stab_groups:
-                stab_groups[rep.stab] = FiniteGroup(subtable(lambda a, b: g.table[a][b], stab))
+                stab_groups[rep.stab] = FiniteGroup(subtable(g.mul, stab))
             h, _ = quotient(stab_groups[rep.stab], kk)
             assert orbit.characteristic_type == classify_unique_involution_2group(h)
 
