@@ -200,11 +200,8 @@ def cross_check(g: FiniteGroup, name: str = "?", budget: int | None = None) -> C
     )
     model = build_type_semigroup(structural.left_zero_exponent, structural.q_dict())
     iso = semigroup_isomorphic(brute_ideal, model)
-    types_equal = (
-        structural.min_left_ideal_type == brute.min_left_ideal_type
-        and structural.max_subgroup_type == brute.max_subgroup_type
-    )
-    agree = types_equal and iso is True
+    # type_string is injective in (m, q) and the maximal subgroup's type is q's alone
+    agree = structural.min_left_ideal_type == brute.min_left_ideal_type and iso is True
     verdict = "agree" if agree else "disagree"
     notes = structural.notes
     if iso is None:

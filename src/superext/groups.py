@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, permutations
 from math import gcd
-from operator import itemgetter
+from operator import and_, itemgetter, or_
 
 MAX_PIPELINE_ORDER = 16
 MAX_GROUP_ORDER = 64
@@ -46,7 +46,7 @@ class FiniteGroup:
     identity is swapped to index 0, names with it: renumbering[new] = old."""
 
     def __init__(self, table, names=None):
-        check_shape(table, len(table))
+        check_shape(table)
         self.table = tuple(map(tuple, table))
         self.order = n = len(self.table)
         if names is not None and len(names) != n:
@@ -184,10 +184,11 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order})"
 
 
-def check_shape(table, n: int) -> None:
+def check_shape(table) -> None:
     """n >= 1 rows of n int entries in 0..n-1, or GroupValidationError("shape")."""
-    if not isinstance(table, (list, tuple)) or n < 1 or len(table) != n:
-        raise GroupValidationError("shape", f"table is not a list of {n} >= 1 rows")
+    if not isinstance(table, (list, tuple)) or not table:
+        raise GroupValidationError("shape", "table is not a non-empty list of rows")
+    n = len(table)
     entries = set(range(n))
     for i, row in enumerate(table):
         if not isinstance(row, (list, tuple)) or len(row) != n:
@@ -533,12 +534,10 @@ def hom_count_to_cyclic2(g: FiniteGroup, k: int) -> int:
 # -- 2-cogroup masks (shared with the twin machinery) --------------------------------
 
 
-def cogroup_masks(g: FiniteGroup, subs: list[int] | None = None) -> list[tuple[int, int, int]]:
+def cogroup_masks(g: FiniteGroup) -> list[tuple[int, int, int]]:
     """All (K, KK, K_pm) mask triples: K = H_pm \\ H with H of index 2 in H_pm.
-    subs is g's subgroup lattice, built here when not given; each H_pm of
-    even size is compared only with the subgroups of half its size."""
-    if subs is None:
-        subs = all_subgroups(g)
+    Each H_pm of even size is compared only with the subgroups of half its size."""
+    subs = all_subgroups(g)
     by_size: dict[int, list[int]] = {}
     for h in subs:
         by_size.setdefault(h.bit_count(), []).append(h)
@@ -554,43 +553,30 @@ def cogroup_masks(g: FiniteGroup, subs: list[int] | None = None) -> list[tuple[i
 
 
 def maximal_cogroup_masks(g: FiniteGroup) -> list[tuple[int, int, int]]:
-    """The 2-cogroups in no larger one, by triple."""
-    return _maximal_triples(cogroup_masks(g))
-
-
-def _maximal_triples(triples) -> list[tuple[int, int, int]]:
-    """The triples whose K lies in no other K.  Walked by descending size:
+    """The 2-cogroups in no larger one, by triple.  Walked by descending size:
     a 2-cogroup inside a larger one lies inside a maximal one, met earlier."""
     out = []
-    for trip in sorted(triples, key=lambda t: -t[0].bit_count()):
+    for trip in sorted(cogroup_masks(g), key=lambda t: -t[0].bit_count()):
         if not any(m & trip[0] == trip[0] for m, _, _ in out):
             out.append(trip)
     return sorted(out)
 
 
 def odd_subgroup(g: FiniteGroup) -> int:
-    """Mask of the largest normal subgroup all of whose elements have odd order.
+    """Mask of O(X), the largest normal subgroup of odd order (by Lagrange and
+    Cauchy, the one whose elements all have odd order).
 
     Computed as the intersection of KK over all maximal 2-cogroups K and
-    verified against a direct search over normal odd subgroups.  Both read
-    one subgroup lattice.
+    checked against the normal closures <x^X>, which read no subgroup
+    lattice: x lies in O(X) iff <x^X> has odd order.  If it does, <x^X> is a
+    normal subgroup of odd order, so it lies in O(X); if x is in O(X), the
+    normal subgroup O(X) holds every conjugate of x, so <x^X> is a subgroup
+    of O(X) and its order divides |O(X)|.
     """
-    subs = all_subgroups(g)
-    maximal = _maximal_triples(cogroup_masks(g, subs))
-    mask = g.full_mask()
-    for _, kk, _ in maximal:
-        mask &= kk
-    # direct search: the largest normal subgroup with all element orders odd
-    best = 1
-    for s in subs:
-        if is_normal_mask(g, s) and all(g.element_orders[x] % 2 for x in mask_elements(s)):
-            if s.bit_count() > best.bit_count():
-                best = s
-            # every normal odd subgroup must sit inside the intersection
-            if s & mask != s:
-                raise InvariantError("normal odd subgroup escapes the KK intersection")
-    if mask != best:
-        raise InvariantError("KK intersection disagrees with direct search")
+    mask = reduce(and_, (kk for _, kk, _ in maximal_cogroup_masks(g)), g.full_mask())
+    closures = (subgroup_closure(g, reduce(or_, g.conj_images(1 << x))) for x in range(g.order))
+    if mask != mask_from_elements(x for x, c in enumerate(closures) if c.bit_count() % 2):
+        raise InvariantError("KK intersection disagrees with the normal closures")
     return mask
 
 

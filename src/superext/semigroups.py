@@ -77,13 +77,14 @@ def minimal_left_ideal(s: FiniteSemigroup) -> frozenset[int]:
 
     z lies in K(S): K(S) is not empty, so one factor of the product lies in
     it, and K(S) is a two-sided ideal, so the whole product does too.  The
-    proof: every y in S*z regenerates it, S*y = S*z.
+    proof reads L = S*z alone: L*y = L for every y in L.  Then any left
+    ideal J inside L holds some y, and J contains S*y, which contains L*y = L.
     """
     z = reduce(s.mul, range(s.size))
     ideal = left_ideal(s, z)
     for y in ideal:
-        if left_ideal(s, y) != ideal:
-            raise InvariantError(f"S*{y} differs from S*{z}: not a minimal left ideal")
+        if {s.mul(x, y) for x in ideal} != ideal:
+            raise InvariantError(f"L*{y} differs from L = S*{z}: not a minimal left ideal")
     return ideal
 
 
@@ -205,12 +206,7 @@ def _cyclic_profile(s: FiniteSemigroup, x: int) -> tuple[int, int]:
 
 
 def _element_invariants(s: FiniteSemigroup) -> list[tuple]:
-    lsizes = [len(left_ideal(s, x)) for x in range(s.size)]
-    rsizes = [len(right_ideal(s, x)) for x in range(s.size)]
-    return [
-        (s.mul(x, x) == x, _cyclic_profile(s, x), lsizes[x], rsizes[x])
-        for x in range(s.size)
-    ]
+    return [(s.mul(x, x) == x, _cyclic_profile(s, x)) for x in range(s.size)]
 
 
 def semigroup_isomorphic(

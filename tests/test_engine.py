@@ -463,8 +463,8 @@ def test_lambda_semigroup_is_fresh_after_cross_check():
 
 @pytest.mark.parametrize("spec", ["C4", "C2xC2", "C6", "D6"])
 def test_cross_check_proves_the_minimal_left_ideal_once(monkeypatch, spec):
-    # one proof of L takes (2 + |L|)*|lambda| products and one table of L |L|^2;
-    # a second proof, or a Rees step reading lambda's product, would add about |L|*|lambda|
+    # z and S*z take 2*|lambda| - 1 products, the proof of L and one table of L |L|^2 each;
+    # a second S*z, or a Rees step reading lambda's product, breaks the bound
     from superext import engine
 
     real_lambda, calls = engine.lambda_semigroup, [0]
@@ -483,7 +483,7 @@ def test_cross_check_proves_the_minimal_left_ideal_once(monkeypatch, spec):
     products = calls[0]
     size, ideal_size = check.semigroup.size, len(minimal_left_ideal(check.semigroup))
     assert check.verdict == "agree"
-    assert products <= (2 + ideal_size) * size + ideal_size**2, (products, size, ideal_size)
+    assert products <= 2 * size + 2 * ideal_size**2, (products, size, ideal_size)
 
 
 # -- internal checks, each driven by a broken collaborator ---------------------------------------

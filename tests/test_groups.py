@@ -316,7 +316,7 @@ def test_loading_a_document_checks_its_shape_once(monkeypatch, relabelled):
     g = make_dihedral(8)
     calls = []
     check = groups.check_shape
-    monkeypatch.setattr(groups, "check_shape", lambda table, n: calls.append(n) or check(table, n))
+    monkeypatch.setattr(groups, "check_shape", lambda table: calls.append(len(table)) or check(table))
     h, _ = relabelled(g, random.Random(8))
     assert h.renumbering[0] != 0  # the document's identity was not at index 0
     assert calls == [8]
@@ -669,16 +669,28 @@ def test_odd_subgroup_builds_the_lattice_once(monkeypatch):
 
 def test_odd_subgroup_refuses_a_normal_odd_subgroup_outside_the_intersection(monkeypatch):
     # C3 has no 2-cogroup; a made-up maximal one with KK = {0} leaves C3 itself outside
-    monkeypatch.setattr(groups, "_maximal_triples", lambda triples: [(0, 1, 0)])
-    with pytest.raises(InvariantError, match="escapes the KK intersection"):
+    monkeypatch.setattr(groups, "maximal_cogroup_masks", lambda g: [(0, 1, 0)])
+    with pytest.raises(InvariantError, match="disagrees with the normal closures"):
         odd_subgroup(make_cyclic(3))
 
 
 def test_odd_subgroup_refuses_an_intersection_above_the_direct_search(monkeypatch):
     # with C2's one maximal 2-cogroup dropped the intersection is all of C2, whose odd part is {0}
-    monkeypatch.setattr(groups, "_maximal_triples", lambda triples: [])
-    with pytest.raises(InvariantError, match="disagrees with direct search"):
+    monkeypatch.setattr(groups, "maximal_cogroup_masks", lambda g: [])
+    with pytest.raises(InvariantError, match="disagrees with the normal closures"):
         odd_subgroup(make_cyclic(2))
+
+
+@pytest.mark.parametrize("spec", ["C2xC2xC2xC2xC2xC2", "Q8xQ8", "D16xC2xC2", "C4xC4xC4", "A4xC4", "C3xQ8", "D6xD6"])
+def test_odd_subgroup_is_the_largest_normal_odd_subgroup_up_to_order_64(spec, relabelled):
+    # the definition, read off the whole lattice: normal, and every element of odd order
+    g, _ = relabelled(parse_spec(spec), random.Random(64))
+    odd = [
+        s for s in all_subgroups(g)
+        if is_normal_mask(g, s) and all(g.element_orders[x] % 2 for x in mask_elements(s))
+    ]
+    sub = odd_subgroup(g)
+    assert sub in odd and all(s & sub == s for s in odd), spec
 
 
 # -- q-count consistency (subgroup census vs hom formula, abelian) -------------------------
@@ -817,6 +829,8 @@ def test_validation_error_kinds():
         ([[0, 1], [0, 1]], None, "latin_square"),  # rows permute, column 0 does not
         ([[0, 1], [1, 0.5]], None, "shape"),  # a float entry is not coerced
         ([["0", "1"], ["1", "0"]], None, "shape"),  # nor is a str entry
+        (5, None, "shape"),  # not a list: refused before its length is read
+        (None, None, "shape"),
     ],
 )
 def test_finite_group_checks_its_own_table(table, names, kind):

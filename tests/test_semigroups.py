@@ -440,7 +440,7 @@ def test_seeded_ideal_on_lambda(spec):
 
 
 def test_seeded_ideal_rejects_a_non_associative_table():
-    # the product chain lands on 1; S*1 = {0, 1} but S*0 = {0}
+    # the product chain lands on 1; L = S*1 = {0, 1} but L*0 = {0}
     sem = FiniteSemigroup.from_table([[0, 1], [0, 0]])
     with pytest.raises(InvariantError):
         minimal_left_ideal(sem)
