@@ -83,10 +83,10 @@ def cmd_analyze(spec: str, brute: bool, as_json: bool, budget, seed) -> int:
 def cmd_table(as_json: bool) -> int:
     rows = engine.reference_reports()
     if as_json:
-        print(json.dumps([r.to_json() for _, r, _ in rows], indent=2, sort_keys=True))
+        print(json.dumps([r.to_json() for _, r in rows], indent=2, sort_keys=True))
     else:
         _print_header()
-        for spec, report, _ in rows:
+        for spec, report in rows:
             _print_report_row(spec, report)
     return EXIT_OK
 

@@ -326,7 +326,7 @@ REFERENCE_ROWS: tuple[tuple[str, int, str], ...] = (
 )
 
 
-def reference_reports() -> list[tuple[str, StructureReport, tuple[str, int, str]]]:
+def reference_reports() -> list[tuple[str, StructureReport]]:
     """Reports for the reference catalog, discrepancy-annotated; rows of order
     <= MAX_ENUM_ORDER are cross-checked, the others are structural."""
     out = []
@@ -341,7 +341,7 @@ def reference_reports() -> list[tuple[str, StructureReport, tuple[str, int, str]
         ):
             if got != ref:
                 notes.append(f"discrepancy: computed {what} {got}; reference lists {ref}")
-        out.append((spec, replace(report, notes=tuple(notes)), (spec, ref_idem, ref_ideal)))
+        out.append((spec, replace(report, notes=tuple(notes))))
     return out
 
 

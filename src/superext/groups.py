@@ -140,14 +140,12 @@ class FiniteGroup:
 
     @property
     def is_abelian(self) -> bool:
-        return self.memo("abelian", lambda: self.center_mask() == self.full_mask())
+        return self.center_mask() == self.full_mask()
 
     def center_mask(self) -> int:
-        m = 0
-        for x in range(self.order):
-            if all(self.table[x][y] == self.table[y][x] for y in range(self.order)):
-                m |= 1 << x
-        return m
+        """The x whose row equals their column."""
+        return self.memo("centre", lambda: mask_from_elements(
+            x for x, (row, col) in enumerate(zip(self.table, zip(*self.table))) if row == col))
 
     def derived_subgroup_mask(self) -> int:
         def build():
@@ -466,9 +464,9 @@ def orbits(points, images) -> list[list[int]]:
 # -- quotients -------------------------------------------------------------------------
 
 
-def quotient(g: FiniteGroup, mask: int) -> tuple[FiniteGroup, list[int]]:
+def quotient(g: FiniteGroup, mask: int) -> FiniteGroup:
     """Group on the left cosets of the normal subgroup mask, in the order of
-    their least elements, plus coset_of[x], the coset of x."""
+    their least elements."""
     if not is_subgroup_mask(g, mask):
         raise ValueError("quotient requires a normal subgroup")
     at = gather(list(mask_elements(mask)))
@@ -490,7 +488,7 @@ def quotient(g: FiniteGroup, mask: int) -> tuple[FiniteGroup, list[int]]:
             raise InvariantError(f"coset projection is not a homomorphism at {x}")
     if mask_from_elements(x for x, c in enumerate(coset_of) if c == 0) != mask:
         raise InvariantError("coset projection has the wrong kernel")
-    return q, coset_of
+    return q
 
 
 def greedy_generators(table, order) -> list[int]:
@@ -505,30 +503,14 @@ def greedy_generators(table, order) -> list[int]:
     return gens
 
 
-def invariant_factors(g: FiniteGroup) -> tuple[int, ...]:
-    """Invariant factors of an abelian group, each dividing the next.
-
-    A cyclic subgroup of largest order is a direct factor, so split it off
-    and recurse on the quotient.
-    """
-    if not g.is_abelian:
-        raise ValueError("invariant factors are defined for abelian groups only")
-    factors = []
-    while g.order > 1:
-        x = max(range(g.order), key=lambda v: g.element_orders[v])
-        factors.append(g.element_orders[x])
-        g, _ = quotient(g, subgroup_closure(g, 1 << x))
-    return tuple(reversed(factors))
-
-
 def hom_count_to_cyclic2(g: FiniteGroup, k: int) -> int:
-    """|hom(g, C_{2^k})|, from the invariant factors of the abelianization."""
+    """|hom(g, C_{2^k})| = #{a in A : a^(2^k) = 1} for A = g/g': for a finite abelian A
+    both are the product of gcd(e, 2^k) over A's cyclic factors C_e."""
     if g.order > MAX_GROUP_ORDER:
         raise ValueError(f"order {g.order} exceeds cap {MAX_GROUP_ORDER}")
     if k < 0 or 2**k > 2**16:
         raise ValueError("exponent out of range")
-    ab, _ = quotient(g, g.derived_subgroup_mask())
-    return FgAbelianPresentation(0, invariant_factors(ab)).hom_count_to_cyclic2(k)
+    return sum(2**k % o == 0 for o in quotient(g, g.derived_subgroup_mask()).element_orders)
 
 
 # -- 2-cogroup masks (shared with the twin machinery) --------------------------------

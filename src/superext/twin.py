@@ -14,7 +14,6 @@ from .groups import (
     FiniteGroup,
     InvariantError,
     group_isomorphic,
-    invariant_factors,
     make_cq_product,
     mask_elements,
     mask_from_elements,
@@ -126,32 +125,41 @@ def maximal_2cogroups(g: FiniteGroup) -> list[TwoCogroup]:
 # -- characteristic groups ----------------------------------------------------------
 
 
-def cq_factors(h: FiniteGroup) -> dict[Tag, int]:
-    """The C_{2^k} and Q_{2^k} factors of a 2-group, read off its invariants.
+def cyclic_factors(orders) -> dict[Tag, int]:
+    """The C_{2^k} factors of the abelian 2-group with these element orders.
 
-    A cyclic or abelian group is named by its invariant factors.  Otherwise
-    each Q_{2^k} adds one C_{2^(k-2)} to the derived subgroup and one C2 to
-    the centre, and each C factor adds itself to the centre.  By
-    Krull-Schmidt that reading is the only candidate, so one isomorphism
-    search against its model decides.
+    In the sum of the C_{2^e_i}, the x with x^{2^k} = 1 are the sum of the C_{2^min(k, e_i)},
+    so r_k = log2 #{x : x^{2^k} = 1} = sum_i min(k, e_i): r_k - r_{k-1} factors have e_i >= k,
+    and r_k - r_{k-1} - (r_{k+1} - r_k) have e_i = k.  Orders of a group that is not abelian
+    read as counts of no group, maybe negative ones.
+    """
+    r = [sum(2**k % o == 0 for o in orders).bit_length() - 1 for k in range(max(orders).bit_length() + 1)]
+    return {("C", k): c for k in range(1, len(r) - 1) if (c := 2 * r[k] - r[k - 1] - r[k + 1])}
+
+
+def cq_factors(h: FiniteGroup) -> dict[Tag, int]:
+    """The C_{2^k} and Q_{2^k} factors of a 2-group, read off element orders.
+
+    An abelian group is named by its cyclic factors.  Otherwise each Q_{2^k} adds one
+    C_{2^(k-2)} to the derived subgroup and one C2 to the centre, and each C factor adds
+    itself to the centre.  In a C/Q product both are abelian, and by Krull-Schmidt their
+    reading is the only candidate, so one isomorphism search against its model decides.
+    Any other group fails the count test, the order test or that search.
     """
     n = h.order
     if n & (n - 1):
         raise ValueError("only 2-groups decompose into C/Q factors")
-    if n in h.element_orders:
-        return {("C", n.bit_length() - 1): 1} if n > 1 else {}
     if h.is_abelian:
-        return dict(Counter(("C", f.bit_length() - 1) for f in invariant_factors(h)))
-    derived = FiniteGroup(restrict(h.table, list(mask_elements(h.derived_subgroup_mask()))))
-    centre = FiniteGroup(restrict(h.table, list(mask_elements(h.center_mask()))))
-    if derived.is_abelian:
-        tags = Counter(("Q", f.bit_length() + 1) for f in invariant_factors(derived))
-        tags[("C", 1)] -= sum(tags.values())
-        tags.update(("C", f.bit_length() - 1) for f in invariant_factors(centre))
-        # the order test keeps a non-C/Q group from building an oversized model
-        if min(tags.values()) >= 0 and sum(k * c for (_, k), c in tags.items()) == n.bit_length() - 1:
-            if group_isomorphic(h, make_cq_product(tags)):
-                return dict(+tags)  # without a zero C2 count
+        return cyclic_factors(h.element_orders)
+    derived = [h.element_orders[x] for x in mask_elements(h.derived_subgroup_mask())]
+    centre = [h.element_orders[x] for x in mask_elements(h.center_mask())]
+    tags = Counter({("Q", k + 2): c for (_, k), c in cyclic_factors(derived).items()})
+    tags[("C", 1)] -= sum(tags.values())
+    tags.update(cyclic_factors(centre))
+    # the order test keeps a non-C/Q group from building an oversized model
+    if min(tags.values()) >= 0 and sum(k * c for (_, k), c in tags.items()) == n.bit_length() - 1:
+        if group_isomorphic(h, make_cq_product(tags)):
+            return dict(+tags)  # without a zero C2 count
     raise InvariantError("no cyclic/quaternion factorization found")
 
 
@@ -173,7 +181,7 @@ def characteristic_group(k: TwoCogroup) -> tuple[FiniteGroup, tuple[str, int]]:
     if k.stab != g.full_mask():  # KK renumbered by position in Stab(K)
         elems = list(mask_elements(k.stab))
         g, kk = FiniteGroup(restrict(g.table, elems)), mask_from_elements(map(elems.index, mask_elements(kk)))
-    h, _ = quotient(g, kk)
+    h = quotient(g, kk)
     return h, classify_unique_involution_2group(h)
 
 

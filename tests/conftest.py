@@ -25,3 +25,15 @@ def _relabelled(g, rng):
 def relabelled():
     """relabelled(g, rng) -> (h, to_g), a random renaming of g's elements."""
     return _relabelled
+
+
+def _spec_invariant_factors(spec):
+    """The invariant factors of an abelian catalog spec, typed from its name:
+    C2xC4 -> (2, 4), C6 -> (6,), C1 -> ()."""
+    return tuple(n for n in (int(part[1:]) for part in spec.split("x")) if n > 1)
+
+
+@pytest.fixture
+def spec_invariant_factors():
+    """spec_invariant_factors(spec) -> the invariant factors its name lists."""
+    return _spec_invariant_factors

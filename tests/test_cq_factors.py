@@ -38,8 +38,19 @@ def test_every_cq_product_up_to_order_64_reads_back(q, monkeypatch, relabelled):
     monkeypatch.setattr(twin, "group_isomorphic", lambda a, b: searches.append(b) or search(a, b))
     h, _ = relabelled(make_cq_product(q), random.Random(type_string(0, q)))
     assert decompose_cq_type(h) == q
-    # abelian types come straight from the invariant factors; others need one certificate
+    # abelian types come straight from element orders; others need one certificate
     assert len(searches) == (0 if all(fam == "C" for fam, _ in q) else 1)
+
+
+@pytest.mark.parametrize("spec,q", [("Q8xC4", {("Q", 3): 1, ("C", 2): 1}), ("C2xQ16", {("C", 1): 1, ("Q", 4): 1})])
+def test_derived_subgroup_and_centre_are_read_without_building_them(spec, q, monkeypatch, relabelled):
+    h, _ = relabelled(parse_spec(spec), random.Random(spec))
+
+    def refuse(*args):
+        raise AssertionError("a subgroup group was built")
+
+    monkeypatch.setattr(twin, "FiniteGroup", refuse)
+    assert decompose_cq_type(h) == q
 
 
 @pytest.mark.parametrize("spec", ["D8", "D16", "C2xD8", "C4xD8"])

@@ -25,7 +25,6 @@ from superext.groups import (
     direct_product,
     fg_abelian_q,
     hom_count_to_cyclic2,
-    invariant_factors,
     make_cyclic,
     make_generalized_quaternion,
     odd_subgroup,
@@ -187,13 +186,13 @@ def test_abelian_q_matches_hom_formula():
         assert rep.q_dict() == expected, spec
 
 
-def test_abelian_m_matches_closed_form():
-    # the third route: m = sum over k of q_k * (2^(k-1) - k), q_k from the invariant factors
+def test_abelian_m_matches_closed_form(spec_invariant_factors):
+    # the third route: m = sum over k of q_k * (2^(k-1) - k), q_k from the invariant factors typed from the spec
     abelian = [spec for spec in catalog_specs(16) if parse_spec(spec).is_abelian]
     assert len(abelian) == 23
     for spec in abelian:
         g = parse_spec(spec)
-        presentation = FgAbelianPresentation(0, invariant_factors(g))
+        presentation = FgAbelianPresentation(0, spec_invariant_factors(spec))
         m = sum(fg_abelian_q(presentation, k) * (2 ** (k - 1) - k) for k in range(1, g.order.bit_length() + 1))
         assert analyze_structural(g, spec).left_zero_exponent == m, spec
 
@@ -203,7 +202,7 @@ def cyclic_2_power_quotients(g):
     subgroup lattice and quotients alone, with no cogroup orbit and no hom count."""
     expected = {}
     for h in all_subgroups(g):
-        q, _ = quotient(g, h)
+        q = quotient(g, h)
         if q.order > 1 and q.order & (q.order - 1) == 0 and q.order in q.element_orders:
             key = ("C", q.order.bit_length() - 1)
             expected[key] = expected.get(key, 0) + 1
@@ -295,7 +294,7 @@ def test_cross_check_reports_an_undecided_isomorphism_as_disagree(monkeypatch):
 def test_odd_reduction_types_match():
     for spec in ("C6", "C10", "C12", "C2xC3", "D6"):
         g = parse_spec(spec)
-        q, _ = quotient(g, odd_subgroup(g))
+        q = quotient(g, odd_subgroup(g))
         a = analyze_structural(g, spec)
         b = analyze_structural(q, spec + "/odd")
         assert a.min_left_ideal_type == b.min_left_ideal_type, spec
@@ -408,7 +407,7 @@ def test_projection_lands_in_brute_minimal_ideal():
 
 
 def test_reference_reports_annotations():
-    rows = {spec: report for spec, report, _ in reference_reports()}
+    rows = dict(reference_reports())
     assert rows["C2xC4"].notes == ()  # reference row and engine agree
     assert any("idempotent count 4" in n for n in rows["D8"].notes)
     assert any("reference lists 2^6 x C2^3" in n for n in rows["A4"].notes)
@@ -416,7 +415,7 @@ def test_reference_reports_annotations():
 
 
 def test_reference_reports_cross_check_the_small_rows():
-    rows = {spec: report for spec, report, _ in reference_reports()}
+    rows = dict(reference_reports())
     assert rows["C2"].provenance == "both(agree)"
     assert rows["C8"].provenance == "structural"
 

@@ -29,7 +29,6 @@ from superext.groups import (
     from_cayley_file,
     group_isomorphic,
     hom_count_to_cyclic2,
-    invariant_factors,
     is_normal_mask,
     is_subgroup_mask,
     make_alternating4,
@@ -494,22 +493,21 @@ def test_generator_closure_is_the_two_sided_fixed_point():
 def test_quotient_c4():
     g = make_cyclic(4)
     sub = next(s for s in all_subgroups(g) if s.bit_count() == 2)
-    q, coset_of = quotient(g, sub)
-    assert group_isomorphic(q, make_cyclic(2))
-    assert set(coset_of) == set(range(q.order))
-    assert mask_from_elements(x for x, c in enumerate(coset_of) if c == 0) == sub
+    q = quotient(g, sub)
+    # |C4| / |q| = 2 = |sub|: the kernel is all of sub
+    assert q.order == 2 and group_isomorphic(q, make_cyclic(2))
 
 
 def test_quotient_q8_center():
     g = make_generalized_quaternion(8)
     sub = next(s for s in all_subgroups(g) if s == g.center_mask())
-    q, _ = quotient(g, sub)
+    q = quotient(g, sub)
     assert group_isomorphic(q, direct_product(make_cyclic(2), make_cyclic(2)))
 
 
 def test_quotient_by_whole_group():
     g = make_dihedral(6)
-    q, _ = quotient(g, all_subgroups(g)[-1])
+    q = quotient(g, all_subgroups(g)[-1])
     assert q.order == 1
 
 
@@ -599,20 +597,14 @@ def test_exponents_out_of_range_are_rejected():
         fg_abelian_q(FgAbelianPresentation(0, (2,)), 0)
 
 
-def test_invariant_factors_reject_a_nonabelian_group():
-    with pytest.raises(ValueError, match="abelian groups only"):
-        invariant_factors(parse_spec("D6"))
-
-
-def test_hom_count_duality_oracle():
-    # independent oracle for abelian g: |hom(g, C_m)| = #{a : a^m = e}
-    for spec in catalog_specs(16):
-        g = parse_spec(spec)
-        if not g.is_abelian:
-            continue
+def test_hom_count_duality_oracle(spec_invariant_factors):
+    # independent oracle for abelian g: the gcd product over factors typed from the spec
+    abelian = [spec for spec in catalog_specs(16) if parse_spec(spec).is_abelian]
+    assert len(abelian) == 23
+    for spec in abelian:
+        presentation = FgAbelianPresentation(0, spec_invariant_factors(spec))
         for k in range(0, 5):
-            expected = sum(1 for o in g.element_orders if (2**k) % o == 0)
-            assert hom_count_to_cyclic2(g, k) == expected, (spec, k)
+            assert hom_count_to_cyclic2(parse_spec(spec), k) == presentation.hom_count_to_cyclic2(k), (spec, k)
 
 
 def test_hom_count_nonabelian_factors_through_commutators():
@@ -623,6 +615,9 @@ def test_hom_count_nonabelian_factors_through_commutators():
     # D8 abelianizes to the Klein group
     assert hom_count_to_cyclic2(make_dihedral(8), 1) == 4
     assert hom_count_to_cyclic2(make_dihedral(8), 2) == 4
+    # typed by hand: Q8 and Q16 abelianize to C2xC2, D6 to C2, C2xD8 to C2^3
+    for spec, k, count in (("Q8", 1, 4), ("Q8", 2, 4), ("Q16", 1, 4), ("D6", 1, 2), ("C2xD8", 1, 8)):
+        assert hom_count_to_cyclic2(parse_spec(spec), k) == count, (spec, k)
 
 
 # -- odd subgroup ----------------------------------------------------------------------
@@ -703,7 +698,7 @@ def quotient_q_census(g, k):
     for s in all_subgroups(g):
         if not is_normal_mask(g, s) or g.order // s.bit_count() != 2**k:
             continue
-        q, _ = quotient(g, s)
+        q = quotient(g, s)
         if group_isomorphic(q, target):
             count += 1
     return count

@@ -238,7 +238,7 @@ def test_orbits_stabilisers_and_types_match_the_definitions(spec, relabelled):
             kk = sum(1 << i for i, e in enumerate(stab) if rep.kk >> e & 1)
             if rep.stab not in stab_groups:
                 stab_groups[rep.stab] = FiniteGroup(subtable(g.mul, stab))
-            h, _ = quotient(stab_groups[rep.stab], kk)
+            h = quotient(stab_groups[rep.stab], kk)
             assert orbit.characteristic_type == classify_unique_involution_2group(h)
 
 
