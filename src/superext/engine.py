@@ -27,8 +27,9 @@ from .twin import (
     CogroupOrbit,
     Tag,
     cogroup_orbits,
+    coset_halves,
     cq_factors,
-    fix_minus_table,
+    fix_operators,
     q_counts,
     tag_str,
     twin_sets_for,
@@ -235,21 +236,18 @@ def min_ideal_membership(g: FiniteGroup, system: MlsSignature) -> bool:
     x*f(a) = X\\f(a): Fix-(a) lies in Fix-(f(a)).  A non-empty Fix- is a
     2-cogroup, so for every maximal K, f maps T_K into T_K.  The image thus
     meets every class, and only in twin sets of maximal 2-cogroups, so (1)
-    reduces to the one-shift-orbit test.
+    reduces to the one-shift-orbit test.  The twin sets of x*K*x^-1 are x*T_K.
     """
-    full = g.full_mask()
-    maximal = {k.members for orbit in cogroup_orbits(g) for k in orbit.members}
-    fixm = fix_minus_table(g)
     values = phi_table(system)
-    image = {values[a] for a in range(full + 1) if fixm[a] in maximal}
+    allowed = {0, g.full_mask()}
     for orbit in cogroup_orbits(g):
-        class_masks = {k.members for k in orbit.members}
-        in_class = {b for b in image if fixm[b] in class_masks}
+        twins = twin_sets_for(orbit.representative).twin_masks
+        in_class = {values[g.shift_mask(x, a)] for x in orbit.conjugators for a in twins}
         rep = min(in_class)
         if in_class != {g.shift_mask(x, rep) for x in range(g.order)}:
             return False
-    allowed = {0, full} | image
-    return all(v in allowed for v in values)
+        allowed |= in_class
+    return allowed.issuperset(values)
 
 
 # -- an explicit idempotent hitting the selector twin family --------------------------------
@@ -259,11 +257,11 @@ def build_projection_idempotent(g: FiniteGroup) -> MlsSignature:
     """Constructs an idempotent of the superextension concretely (orders <= 16).
 
     Identity on the selector family: the least twin set over each orbit
-    representative, carried to each conjugate K by its transport element in
-    CogroupOrbit.conjugators, the least x with x*rep*x^-1 = K.  Any other
-    twin set a collapses equivariantly onto the selector twin set of the
-    smallest maximal 2-cogroup containing Fix-(a), read off the group's Fix-
-    table; a non-twin set gets X when it has more than half the elements and
+    representative, the smaller half of each twin.coset_halves pair, carried to
+    each conjugate K by its transport element in CogroupOrbit.conjugators, the
+    least x with x*rep*x^-1 = K.  Any other twin set a collapses equivariantly
+    onto the selector twin set of the smallest maximal 2-cogroup containing
+    Fix-(a); a non-twin set gets X when it has more than half the elements and
     empty when it has fewer, and of the two shift orbits at exactly half, the
     one with the smaller least mask gets X.
     The map is certified by setfam.phi_inverse, the representation
@@ -276,12 +274,11 @@ def build_projection_idempotent(g: FiniteGroup) -> MlsSignature:
     n = g.order
     target_of = {}  # maximal 2-cogroup -> its selector twin set
     for orbit in cogroup_orbits(g):
-        twin = min(twin_sets_for(orbit.representative).twin_masks)
+        twin = sum(map(min, coset_halves(orbit.representative)))
         for k, x in zip(orbit.members, orbit.conjugators):
             target_of[k.members] = g.shift_mask(x, twin)
     maximal = sorted(target_of)
 
-    fixm = fix_minus_table(g)
     e_map = [0] * (full + 1)
     # Twin sets collapse their X-orbit onto the selector family; the other
     # sets take the size rule above.  At n/2 the orbit of X\a is not a's
@@ -290,8 +287,8 @@ def build_projection_idempotent(g: FiniteGroup) -> MlsSignature:
     # n/2 elements and X\a.
     for orbit in shift_orbits(g):
         a = orbit[0]
-        if fixm[a]:
-            target = target_of[next(k for k in maximal if k & fixm[a] == fixm[a])]
+        if fixm := fix_operators(g, a)[1]:
+            target = target_of[next(k for k in maximal if k & fixm == fixm)]
             if target in orbit:
                 target = a  # a lies in the selector orbit itself: keep the identity there
             for x in range(n):

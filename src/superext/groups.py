@@ -662,7 +662,8 @@ INFINITY = "infinity"
 
 @dataclass(frozen=True)
 class FgAbelianPresentation:
-    """Z^free_rank + sum of cyclic groups in invariant-factor form."""
+    """Z^free_rank + the C_f for f in torsion_factors, in any cyclic decomposition: hom
+    counts multiply as gcd(f, m), C_1 gives gcd(1, m) = 1 and f = 0, a copy of Z, gives m."""
 
     free_rank: int
     torsion_factors: tuple[int, ...] = ()
@@ -670,14 +671,6 @@ class FgAbelianPresentation:
     def __post_init__(self):
         if self.free_rank < 0:
             raise ValueError("free rank must be nonnegative")
-        facs = tuple(self.torsion_factors)
-        object.__setattr__(self, "torsion_factors", facs)
-        for m in facs:
-            if m < 2:
-                raise ValueError("torsion factors must be >= 2")
-        for a, b in zip(facs, facs[1:]):
-            if b % a:
-                raise ValueError("each invariant factor must divide the next")
 
     def hom_count_to_cyclic2(self, k: int) -> int:
         m = 2**k

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import product
 
 from .groups import (
     FiniteGroup,
@@ -204,29 +205,28 @@ class TkData:
         return len(self.orbits)
 
 
+def coset_halves(k: TwoCogroup) -> list[tuple[int, int]]:
+    """(K*s, KK*s) for the least s of each right coset K+-*s.  A set a with K inside
+    Fix-(a) has KK*a = a and K*a = X\\a, so it holds exactly one half of each pair;
+    the cosets are disjoint, so the least such a takes the smaller half of each."""
+    g = k.group
+    cosets = orbits(range(g.order), lambda x: (g.table[h][x] for h in mask_elements(k.kpm)))
+    return [tuple(mask_from_elements(g.table[z][c[0]] for z in mask_elements(half)) for half in (k.members, k.kk))
+            for c in cosets]
+
+
 def twin_sets_for(k: TwoCogroup) -> TkData:
     """All twin sets with Fix- exactly K, plus their orbit decomposition.
 
-    Built from a transversal S of the K+- cosets as KK*E union K*(S\\E): all a
-    with K inside Fix-(a).  The Fix- table check rejects a K that is not maximal
-    with InvariantError, since the nonempty T_K' of a maximal K' above K is built too.
+    Built as every choice of one half per pair of coset_halves.  The Fix- table check
+    rejects a K that is not maximal, as the nonempty T_K' of a maximal K' above K is built too.
     """
     g = k.group
-    reps = [c[0] for c in orbits(range(g.order), lambda x: (g.table[h][x] for h in mask_elements(k.kpm)))]
-    kk_elems = list(mask_elements(k.kk))
-    k_elems = list(mask_elements(k.members))
-    built = set()
-    for e_bits in range(1 << len(reps)):
-        mask = 0
-        for i, s in enumerate(reps):
-            movers = kk_elems if (e_bits >> i) & 1 else k_elems
-            for z in movers:
-                mask |= 1 << g.table[z][s]
-        built.add(mask)
+    built = {sum(choice) for choice in product(*coset_halves(k))}
     # built equals the table's scan iff every set in it, and no other, has Fix- = K
     fixm = fix_minus_table(g)
     if any(fixm[a] != k.members for a in built) or fixm.count(k.members) != len(built):
-        raise InvariantError("transversal construction disagrees with the Fix- table")
+        raise InvariantError("coset-half construction disagrees with the Fix- table")
     twins = tuple(sorted(built))
     if len(twins) != 1 << k.kpm_index():
         raise InvariantError(f"|T_K| = {len(twins)}, expected 2^{k.kpm_index()}")

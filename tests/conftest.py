@@ -3,6 +3,7 @@
 import pytest
 
 from superext.groups import from_cayley_document
+from superext.setfam import FamilyOfSets, family_to_signature
 
 
 def _relabelled(g, rng):
@@ -37,3 +38,22 @@ def _spec_invariant_factors(spec):
 def spec_invariant_factors():
     """spec_invariant_factors(spec) -> the invariant factors its name lists."""
     return _spec_invariant_factors
+
+
+def _random_mls(g, rng):
+    """A seeded maximal linked system: every mask, in random order, joins if it
+    meets every member so far.  A mask turned away stays disjoint from a member,
+    so the family is maximal; family_to_signature checks it again."""
+    masks = list(range(1, g.full_mask() + 1))
+    rng.shuffle(masks)
+    members: list[int] = []
+    for a in masks:
+        if all(a & b for b in members):
+            members.append(a)
+    return family_to_signature(FamilyOfSets(g, frozenset(members)))
+
+
+@pytest.fixture
+def random_mls():
+    """random_mls(g, rng) -> a seeded maximal linked system of g."""
+    return _random_mls

@@ -1,9 +1,11 @@
 """End-to-end structure analysis: structural route, brute route, cross-checks."""
 
+import random
 from math import gcd
 
 import pytest
 
+from superext import engine, twin
 from superext.cli import parse_spec
 from superext.engine import (
     analyze_structural,
@@ -30,9 +32,9 @@ from superext.groups import (
     odd_subgroup,
     quotient,
 )
-from superext.setfam import circ, enumerate_mls, phi
+from superext.setfam import circ, enumerate_mls, phi, phi_table, principal_ultrafilter
 from superext.semigroups import FiniteSemigroup, minimal_ideal, minimal_left_ideal
-from superext.twin import cogroup_orbits, q_counts, twin_sets_for
+from superext.twin import cogroup_orbits, fix_minus_table, q_counts, twin_sets_for
 
 
 # -- type expression normalization ----------------------------------------------------------
@@ -356,7 +358,68 @@ def test_membership_identity_ultrafilter_false(spec):
     assert not min_ideal_membership(g, principal_ultrafilter(g, 0))
 
 
+def table_membership(g, system):
+    """The membership test read through the whole-group Fix- table: the image of
+    every twin set whose Fix- is a maximal 2-cogroup, split into classes by that Fix-."""
+    full = g.full_mask()
+    maximal = {k.members for orbit in cogroup_orbits(g) for k in orbit.members}
+    fixm = fix_minus_table(g)
+    values = phi_table(system)
+    image = {values[a] for a in range(full + 1) if fixm[a] in maximal}
+    for orbit in cogroup_orbits(g):
+        class_masks = {k.members for k in orbit.members}
+        in_class = {b for b in image if fixm[b] in class_masks}
+        rep = min(in_class)
+        if in_class != {g.shift_mask(x, rep) for x in range(g.order)}:
+            return False
+    allowed = {0, full} | image
+    return all(v in allowed for v in values)
+
+
+@pytest.mark.parametrize("spec", ["C5", "C6", "D6"])
+def test_membership_matches_the_fix_minus_table_reading(spec, random_mls):
+    g = parse_spec(spec)
+    rng = random.Random(spec)
+    systems = enumerate_mls(g) if spec == "C5" else [random_mls(g, rng) for _ in range(300)]
+    answers = [min_ideal_membership(g, sig) for sig in systems]
+    assert answers == [table_membership(g, sig) for sig in systems]
+    assert True in answers and False in answers
+
+
+@pytest.mark.parametrize("spec", ["D8", "Q8", "C2xC4"])
+def test_membership_matches_the_fix_minus_table_reading_on_products_with_e(spec, relabelled, random_mls):
+    # f*e lies in the minimal ideal K with e, whatever f is; conjugate cogroups on D8
+    g = relabelled(parse_spec(spec), random.Random(spec))[0]
+    e = build_projection_idempotent(g)
+    rng = random.Random(spec)
+    for f in (random_mls(g, rng) for _ in range(20)):
+        assert min_ideal_membership(g, f) == table_membership(g, f)
+        assert min_ideal_membership(g, circ(f, e)) and table_membership(g, circ(f, e))
+
+
+@pytest.mark.parametrize("spec", ["D16", "C2xC2xC2xC2"])
+def test_membership_matches_the_fix_minus_table_reading_at_order_16(spec):
+    g = parse_spec(spec)
+    e = build_projection_idempotent(g)
+    units = [principal_ultrafilter(g, x) for x in range(g.order)]
+    for sig, member in [(e, True)] + [(circ(u, e), True) for u in units] + [(u, False) for u in units]:
+        assert min_ideal_membership(g, sig) == table_membership(g, sig) == member, sig.bits
+
+
 # -- the projection idempotent -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec", ["D8", "Q8", "C2xC4", "A4"])
+def test_projection_reads_neither_the_fix_minus_table_nor_t_k(spec, relabelled, monkeypatch):
+    def refuse(*_):
+        raise AssertionError("the projection idempotent read T_K or the Fix- table")
+
+    g = relabelled(parse_spec(spec), random.Random(spec))[0]
+    for module, name in ((twin, "fix_minus_table"), (twin, "twin_sets_for"), (engine, "twin_sets_for")):
+        monkeypatch.setattr(module, name, refuse)
+    sig = build_projection_idempotent(g)
+    monkeypatch.undo()
+    assert circ(sig, sig).bits == sig.bits and min_ideal_membership(g, sig)
 
 
 def test_projection_c3_is_majority():

@@ -773,12 +773,14 @@ def test_fg_abelian_q_infinity_marker():
 
 
 def test_fg_abelian_invariant_factor_validation():
-    with pytest.raises(ValueError):
-        FgAbelianPresentation(0, (3, 2))
-    with pytest.raises(ValueError):
-        FgAbelianPresentation(0, (1,))
+    # any cyclic decomposition counts the same: C3 x C2 = C6, and a C1 factor adds nothing
     with pytest.raises(ValueError):
         FgAbelianPresentation(-1)
+    for factors, invariant in (((3, 2), (6,)), ((2, 1, 4), (2, 4))):
+        for k in range(1, 6):
+            assert fg_abelian_q(FgAbelianPresentation(0, factors), k) == fg_abelian_q(
+                FgAbelianPresentation(0, invariant), k
+            )
 
 
 def test_fg_abelian_q_matches_finite_group_census():

@@ -10,10 +10,8 @@ from superext.engine import build_projection_idempotent, lambda_semigroup
 from superext import setfam
 from superext.groups import InvariantError, make_cyclic
 from superext.setfam import (
-    FamilyOfSets,
     circ,
     enumerate_mls,
-    family_to_signature,
     indexed_circ,
     pair_row,
     phi,
@@ -26,19 +24,6 @@ from superext.setfam import (
 ORDERS_1_TO_6 = ["C1", "C2", "C3", "C4", "C2xC2", "C5", "C6", "D6"]
 
 
-def random_mls(g, rng):
-    """A seeded maximal linked system: every mask, in random order, joins if it
-    meets every member so far.  A mask turned away stays disjoint from a member,
-    so the family is maximal; family_to_signature checks it again."""
-    masks = list(range(1, g.full_mask() + 1))
-    rng.shuffle(masks)
-    members: list[int] = []
-    for a in masks:
-        if all(a & b for b in members):
-            members.append(a)
-    return family_to_signature(FamilyOfSets(g, frozenset(members)))
-
-
 # -- Phi rows ----------------------------------------------------------------------------
 
 
@@ -48,7 +33,7 @@ def test_phi_table_matches_phi_map_on_every_system(spec):
         assert phi_table(sig) == phi_map(sig)
 
 
-def test_phi_table_matches_phi_map_on_seeded_c7_systems():
+def test_phi_table_matches_phi_map_on_seeded_c7_systems(random_mls):
     # sampled rather than enumerated: all 1,422,564 systems of C7 take tens of seconds
     g = make_cyclic(7)
     rng = random.Random(7)
@@ -82,7 +67,7 @@ def test_phi_tables_match_phi_table_on_relabelled_groups(spec, seed, relabelled)
 
 @pytest.mark.parametrize("spec,seed", [("C7", None), ("C8", None), ("Q8", None), ("D8", 5)],
                          ids=["C7", "C8", "Q8", "D8-relabelled"])
-def test_phi_tables_match_phi_table_on_seeded_order_7_and_8_systems(spec, seed, relabelled):
+def test_phi_tables_match_phi_table_on_seeded_order_7_and_8_systems(spec, seed, relabelled, random_mls):
     # 8- and 16-byte packing blocks, and at order 8 a 256-entry shift row with no padding;
     # a non-abelian group tells a left shift x*A from a right shift A*x
     g = parse_spec(spec) if seed is None else relabelled(parse_spec(spec), random.Random(seed))[0]

@@ -1,6 +1,7 @@
 """Twin sets, Fix operators, 2-cogroups, characteristic groups, twinic check."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -18,6 +19,7 @@ from superext.groups import (
     make_generalized_quaternion,
     InvariantError,
     mask_elements,
+    mask_from_elements,
     quotient,
     subtable,
 )
@@ -27,6 +29,7 @@ from superext.twin import (
     characteristic_group,
     classify_unique_involution_2group,
     cogroup_orbits,
+    coset_halves,
     fix_minus_table,
     fix_operators,
     is_pretwin,
@@ -444,3 +447,37 @@ def test_twin_sets_for_rejects_a_table_with_a_set_it_does_not_build(monkeypatch,
     monkeypatch.setattr(twin, "fix_minus_table", lambda _: tuple(table))
     with pytest.raises(InvariantError, match="Fix- table"):
         twin_sets_for(k)
+
+
+# -- the selector convention -------------------------------------------------------------------
+
+
+SELECTOR_SPECS = CATALOG_16 + ["C2xD8", "C2xQ8", "C3xC3", "C2xC6"]
+
+
+def test_maximal_cogroups_of_the_selector_groups_number_142():
+    assert len(SELECTOR_SPECS) == 36
+    assert sum(len(maximal_2cogroups(parse_spec(spec))) for spec in SELECTOR_SPECS) == 142
+
+
+@pytest.mark.parametrize("spec", SELECTOR_SPECS)
+def test_coset_halves_build_t_k_and_its_least_member(spec, relabelled):
+    # each pair splits the coset K+-*s of its least element s; one half per pair is T_K,
+    # and the smaller half of each is T_K's least member, the selector the projection reads
+    g = parse_spec(spec)
+    for h in (g, relabelled(g, random.Random(spec))[0]):
+        fixm = fix_minus_table(h)
+        for k in maximal_2cogroups(h):
+            pairs = coset_halves(k)
+            covered = 0
+            for k_half, kk_half in pairs:
+                coset = k_half | kk_half
+                s = (coset & -coset).bit_length() - 1
+                assert kk_half >> s & 1 and not k_half & kk_half and not coset & covered
+                assert coset == mask_from_elements(h.table[z][s] for z in mask_elements(k.kpm))
+                covered |= coset
+            assert covered == h.full_mask()
+            twins = twin_sets_for(k).twin_masks
+            assert sorted({sum(choice) for choice in product(*pairs)}) == list(twins)
+            assert list(twins) == [a for a, f in enumerate(fixm) if f == k.members]
+            assert sum(map(min, pairs)) == twins[0]
