@@ -492,14 +492,21 @@ def quotient(g: FiniteGroup, mask: int) -> FiniteGroup:
 
 
 def greedy_generators(table, order) -> list[int]:
-    """A generating set of table: each element, in the given order, that the
-    product closure of those taken before it misses."""
-    gens: list[int] = []
-    closed = 0
+    """A generating set of table: each element, in the given order, that the product closure
+    C of those taken before it misses.  Taking x adds to C (first <x>) the left cosets z*C,
+    each closed under right factors from C, of the z that right factors x reach from C."""
+    gens, closed = [], 0
     for x in order:
-        if not (closed >> x) & 1:
+        if not closed >> x & 1:
             gens.append(x)
-            closed = closure(table, mask_from_elements(gens))
+            new = list(mask_elements(closed))  # none for the first x: C becomes <x>
+            at, closed = gather(new), closed or closure(table, 1 << x)  # at: z -> z*C
+            while new:
+                z = table[new.pop()][x]
+                if not closed >> z & 1:
+                    coset = at(table[z])
+                    closed |= mask_from_elements(coset)
+                    new += coset
     return gens
 
 

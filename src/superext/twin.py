@@ -15,6 +15,7 @@ from .groups import (
     FiniteGroup,
     InvariantError,
     group_isomorphic,
+    is_subgroup_mask,
     make_cq_product,
     mask_elements,
     mask_from_elements,
@@ -111,7 +112,7 @@ def cogroup_orbits(g: FiniteGroup) -> list[CogroupOrbit]:
             stab = mask_from_elements(x for x, c in enumerate(images) if c == k)
             least = sorted((c, images.index(c)) for c in set(images))
             members = tuple(TwoCogroup(g, *triples.pop(c), g.conj_mask(x, stab)) for c, x in least)
-            _, tag = characteristic_group(members[0])
+            tag = characteristic_type(members[0])
             out.append(CogroupOrbit(members[0], members, tag, tuple(x for _, x in least)))
         return out
 
@@ -184,6 +185,31 @@ def characteristic_group(k: TwoCogroup) -> tuple[FiniteGroup, tuple[str, int]]:
         g, kk = FiniteGroup(restrict(g.table, elems)), mask_from_elements(map(elems.index, mask_elements(kk)))
     h = quotient(g, kk)
     return h, classify_unique_involution_2group(h)
+
+
+def characteristic_type(k: TwoCogroup) -> Tag:
+    """The tag of H = Stab(K)/KK read in X, where x*KK has order the least j with x^j in KK.  H is
+    a 2-group with one involution, so cyclic or generalized quaternion (Burnside): a coset of order
+    |H| proves it cyclic; only a non-cyclic H is built, and characteristic_group must certify ("Q", e).
+    Checks: Stab(K) and KK are product-closed and hold 1 (subgroups of a validated group), KK lies in
+    Stab(K), normal there, |H| is a power of two (ValueError), exactly |KK| elements have coset order 2."""
+    g, stab, kk = k.group, k.stab, k.kk
+    if not ((stab == g.full_mask() or is_subgroup_mask(g, stab)) and is_subgroup_mask(g, kk)) or kk & ~stab:
+        raise InvariantError("Stab(K) and KK are not nested subgroups")
+    if stab & ~mask_from_elements(x for x, c in enumerate(g.conj_images(kk)) if c == kk):
+        raise InvariantError("KK is not normal in Stab(K)")
+    n = stab.bit_count() // kk.bit_count()
+    if n & (n - 1):
+        raise ValueError("only 2-groups decompose into C/Q factors")
+    def coset_order(x, j=1):  # 2^i in a 2-group, for the least i with x^(2^i) in KK
+        return j if kk >> x & 1 else coset_order(g.table[x][x], 2 * j)
+    orders = [coset_order(x) for x in mask_elements(stab)]
+    if n > 1 and orders.count(2) != kk.bit_count():
+        raise InvariantError("group does not have a unique involution")
+    cyclic, e = n in orders, n.bit_length() - 1
+    if not cyclic and characteristic_group(k)[1] != ("Q", e):
+        raise InvariantError(f"a non-cyclic Stab(K)/KK of order {n} is not Q{n}")
+    return ("C" if cyclic else "Q", e)
 
 
 def tag_str(tag: tuple[str, int]) -> str:

@@ -27,6 +27,7 @@ from superext.groups import (
     find_isomorphism,
     from_cayley_document,
     from_cayley_file,
+    greedy_generators,
     group_isomorphic,
     hom_count_to_cyclic2,
     is_normal_mask,
@@ -252,6 +253,33 @@ def test_every_relabelled_catalog_group_validates_with_its_generators(relabelled
     for spec in catalog_specs(16):
         h, _ = relabelled(parse_spec(spec), rng)
         assert 0 not in h.generators and closure(h.table, mask_from_elements(h.generators)) | 1 == h.full_mask()
+
+
+def _closure_greedy_generators(table, order):
+    """The definition greedy_generators keeps: take each element the closure of the taken ones misses."""
+    gens, closed = [], 0
+    for x in order:
+        if not closed >> x & 1:
+            gens.append(x)
+            closed = closure(table, mask_from_elements(gens))
+    return gens
+
+
+@pytest.mark.parametrize("spec", catalog_specs(16) + ["C2xC2xC2xC2xC2xC2", "Q8xQ8", "D16xC2xC2"])
+def test_greedy_generators_extend_the_closure_as_the_definition_takes_them(spec):
+    # raw relabelled tables keep the identity anywhere, as FiniteGroup's validation sees them;
+    # the orders are validation's (all but the identity), the isomorphism search's and a shuffle
+    rng = random.Random(spec)
+    t = _relabel_table(parse_spec(spec).table, rng)
+    n, e = len(t), t[0].index(0)
+    powers = [[x] for x in range(n)]
+    for p in powers:
+        while p[-1] != e:
+            p.append(t[p[-1]][p[0]])
+    by_order = sorted(range(n), key=lambda x: (-len(powers[x]), x))
+    orders = [[x for x in range(n) if x != e], by_order, rng.sample(range(n), n)]
+    for order in orders:
+        assert greedy_generators(t, order) == _closure_greedy_generators(t, order)
 
 
 def test_a_valid_table_skips_the_full_associativity_scan(monkeypatch):

@@ -27,6 +27,7 @@ from superext import twin
 from superext.twin import (
     TwoCogroup,
     characteristic_group,
+    characteristic_type,
     classify_unique_involution_2group,
     cogroup_orbits,
     coset_halves,
@@ -224,7 +225,9 @@ def test_orbits_d8():
     assert all(o.characteristic_type == ("C", 1) for o in orbits)
 
 
-@pytest.mark.parametrize("spec", CATALOG_16 + ["D8xC2xC2", "Q8xQ8", "D16xC2xC2"])
+@pytest.mark.parametrize(
+    "spec", CATALOG_16 + ["D8xC2xC2", "Q8xQ8", "D16xC2xC2", "Q32", "C2xQ16", "C4xQ8", "Q16xC4"]
+)
 def test_orbits_stabilisers_and_types_match_the_definitions(spec, relabelled):
     # all n conjugates and a freshly validated Stab(K), not one per coset or g's own table
     for g in (parse_spec(spec), relabelled(parse_spec(spec), random.Random(spec))[0]):
@@ -306,6 +309,64 @@ def test_characteristic_group_size_divides_index():
             assert index % h.order == 0
             if k.stab == g.full_mask():  # normal cogroup
                 assert h.order == index
+
+
+def _record(spec, members, kk, stab=None):
+    g = parse_spec(spec)
+    stab = g.full_mask() if stab is None else stab
+    return TwoCogroup(group=g, members=members, kk=kk, kpm=members | kk, stab=stab)
+
+
+@pytest.mark.parametrize(
+    "spec, members, kk, stab, error, match",
+    [
+        ("C4", 0b0100, 0b0001, 0b0111, InvariantError, "not nested subgroups"),  # Stab(K) misses 1+2
+        ("C4", 0b1000, 0b0110, None, InvariantError, "not nested subgroups"),  # KK misses the identity
+        ("C4", 0b0100, 0b1111, 0b0101, InvariantError, "not nested subgroups"),  # KK outside Stab(K)
+        ("D6", 0b010000, 0b001001, None, InvariantError, "not normal"),  # {r0, r0s}, moved by r1
+        ("C6", 0b000110, 0b001001, None, ValueError, "only 2-groups"),  # |Stab/KK| = 3
+        ("C2xC2xC2", 0b0100, 0b0011, None, InvariantError, "unique involution"),  # Stab/KK = C2xC2
+    ],
+)
+def test_characteristic_type_refuses_a_record_that_fails_a_check(spec, members, kk, stab, error, match):
+    with pytest.raises(error, match=match):
+        characteristic_type(_record(spec, members, kk, stab))
+
+
+def test_characteristic_type_refuses_a_non_cyclic_h_not_certified_quaternion(monkeypatch):
+    k = next(o.representative for o in cogroup_orbits(make_generalized_quaternion(8)) if o.characteristic_type[0] == "Q")
+    assert characteristic_type(k) == ("Q", 3)
+    monkeypatch.setattr(twin, "characteristic_group", lambda _: (None, ("C", 3)))
+    with pytest.raises(InvariantError, match="not Q8"):
+        characteristic_type(k)
+
+
+def test_cogroup_orbits_build_no_group_for_a_cyclic_characteristic_group(monkeypatch, relabelled):
+    specs = ("C16", "D16", "C2xC2xC2xC2", "C4xC4", "D12", "A4")
+    expected = [sorted((len(o.members), o.characteristic_type) for o in cogroup_orbits(parse_spec(s))) for s in specs]
+    groups = [relabelled(parse_spec(s), random.Random(s))[0] for s in specs]
+
+    def refuse(*args):
+        raise AssertionError("a group was built for a cyclic Stab(K)/KK")
+
+    for name in ("FiniteGroup", "quotient", "characteristic_group"):
+        monkeypatch.setattr(twin, name, refuse)
+    for g, types in zip(groups, expected):
+        assert sorted((len(o.members), o.characteristic_type) for o in cogroup_orbits(g)) == types
+
+
+@pytest.mark.parametrize("spec, tag", [("Q8", ("Q", 3)), ("Q16", ("Q", 4))])
+def test_only_the_quaternion_orbit_builds_its_characteristic_group(monkeypatch, spec, tag):
+    calls = []
+
+    def counted(k):
+        calls.append(k)
+        return characteristic_group(k)
+
+    monkeypatch.setattr(twin, "characteristic_group", counted)
+    orbits = cogroup_orbits(parse_spec(spec))
+    assert [o.representative for o in orbits if o.characteristic_type == tag] == calls
+    assert len(calls) == 1
 
 
 # -- the twin-set act --------------------------------------------------------------------------
