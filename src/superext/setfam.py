@@ -339,13 +339,9 @@ _NOT01 = bytes.maketrans(b"\0\1", b"\1\0")
 
 def shift_orbits(g: FiniteGroup) -> list[list[int]]:
     """The left-shift orbits {x*A : x in X} of P(X), each sorted, in the order
-    of their least masks; built once per group (orders <= 16)."""
-
-    def build():
-        rows = [g.shift_row(x) for x in range(g.order)]
-        return orbits(range(g.full_mask() + 1), lambda a: [r[a] for r in rows])
-
-    return g.memo("shift_orbits", build)
+    of their least masks (orders <= 16)."""
+    rows = [g.shift_row(x) for x in range(g.order)]
+    return orbits(range(g.full_mask() + 1), lambda a: [r[a] for r in rows])
 
 
 def _orbit_fill(g: FiniteGroup):
@@ -444,33 +440,3 @@ def write_mls_stream(fh, g: FiniteGroup, sigs: MlsSequence) -> None:
     pairs = 1 << (g.order - 1)
     fh.write(f"n={g.order} pairs={pairs}\n")
     fh.writelines(map(f"{{:0{pairs + 3 >> 2}x}}\n".format, sigs.bits))
-
-
-def read_mls_stream(fh) -> tuple[int, list[int]]:
-    """(n, signature bits) from a stream; ValueError names the first bad line."""
-    header = fh.readline().strip()
-    tokens = [kv.partition("=") for kv in header.split()]
-    if sorted(k + eq for k, eq, _ in tokens) != ["n=", "pairs="]:
-        raise ValueError(f"line 1: header {header!r} must hold n= and pairs= once each and nothing else")
-    parts = {k: v for k, _, v in tokens}
-    if parts["n"] not in map(str, range(1, MAX_ENUM_ORDER_WITH_BUDGET + 1)):
-        raise ValueError(f"line 1: order {parts['n']!r} is not in 1..{MAX_ENUM_ORDER_WITH_BUDGET}")
-    n = int(parts["n"])
-    pairs = 1 << (n - 1)
-    if parts["pairs"] != str(pairs):
-        raise ValueError("line 1: pair count does not match the order in the header")
-    bits = []
-    for lineno, line in enumerate(fh, start=2):
-        if not line.strip():
-            continue
-        if line.strip().strip("0123456789abcdefABCDEF"):  # int(_, 16) also takes 0x2, +2, 0_2
-            raise ValueError(f"line {lineno}: {line.strip()!r} is not hexadecimal")
-        b = int(line, 16)
-        if b >> pairs:
-            raise ValueError(f"line {lineno}: {b:x} has bits beyond the {pairs} pairs")
-        if b & 1:
-            raise ValueError(f"line {lineno}: bit 0 set makes the empty set a member")
-        if bits and b <= bits[-1]:
-            raise ValueError(f"line {lineno}: {b:x} does not ascend from the line before")
-        bits.append(b)
-    return n, bits

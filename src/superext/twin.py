@@ -14,6 +14,7 @@ from itertools import product
 from .groups import (
     FiniteGroup,
     InvariantError,
+    greedy_generators,
     group_isomorphic,
     is_subgroup_mask,
     make_cq_product,
@@ -192,11 +193,13 @@ def characteristic_type(k: TwoCogroup) -> Tag:
     a 2-group with one involution, so cyclic or generalized quaternion (Burnside): a coset of order
     |H| proves it cyclic; only a non-cyclic H is built, and characteristic_group must certify ("Q", e).
     Checks: Stab(K) and KK are product-closed and hold 1 (subgroups of a validated group), KK lies in
-    Stab(K), normal there, |H| is a power of two (ValueError), exactly |KK| elements have coset order 2."""
+    Stab(K), normal there, |H| is a power of two (ValueError), exactly |KK| elements have coset order 2.
+    Normality is tested at Stab(K)'s generators: the x with x*KK*x^-1 = KK form a subgroup."""
     g, stab, kk = k.group, k.stab, k.kk
     if not ((stab == g.full_mask() or is_subgroup_mask(g, stab)) and is_subgroup_mask(g, kk)) or kk & ~stab:
         raise InvariantError("Stab(K) and KK are not nested subgroups")
-    if stab & ~mask_from_elements(x for x, c in enumerate(g.conj_images(kk)) if c == kk):
+    gens = g.generators if stab == g.full_mask() else greedy_generators(g.table, mask_elements(stab & ~1))
+    if any(g.conj_mask(x, kk) != kk for x in gens):
         raise InvariantError("KK is not normal in Stab(K)")
     n = stab.bit_count() // kk.bit_count()
     if n & (n - 1):

@@ -3,7 +3,7 @@
 import pytest
 
 from superext.groups import from_cayley_document
-from superext.setfam import FamilyOfSets, family_to_signature
+from superext.setfam import FamilyOfSets, enumerate_mls, family_to_signature
 
 
 def _relabelled(g, rng):
@@ -57,3 +57,18 @@ def _random_mls(g, rng):
 def random_mls():
     """random_mls(g, rng) -> a seeded maximal linked system of g."""
     return _random_mls
+
+
+def _expected_stream(g):
+    """The text of g's system stream, from its definition rather than the writer's code:
+    the header n=<n> pairs=<2^(n-1)>, then one line per system in enumerate_mls order, its
+    signature in lowercase hex, zero-padded to ceil(2^(n-1)/4) digits."""
+    pairs = 2 ** (g.order - 1)
+    lines = [f"n={g.order} pairs={pairs}"] + [format(s.bits, "x").zfill(-(-pairs // 4)) for s in enumerate_mls(g)]
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.fixture
+def expected_stream():
+    """expected_stream(g) -> the exact text that mls-count --out writes for g."""
+    return _expected_stream

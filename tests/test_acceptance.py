@@ -8,7 +8,6 @@ ties them together), so that sub-assertion fails and is left failing on
 purpose rather than weakened; the README covers the analysis.
 """
 
-import random
 import time
 
 from superext.cli import parse_spec
@@ -41,15 +40,12 @@ from superext.semigroups import (
     minimal_ideal,
     minimal_left_ideal,
     rees_decompose,
-    semigroup_isomorphic,
 )
-from superext.setfam import FamilyOfSets, MlsSignature, circ, enumerate_mls, is_maximal_linked, phi
+from superext.setfam import FamilyOfSets, circ, enumerate_mls, is_maximal_linked, phi
 from superext.twin import (
     characteristic_group,
     fix_operators,
-    is_pretwin,
     is_trivially_twinic,
-    is_twin,
     maximal_2cogroups,
 )
 

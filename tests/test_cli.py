@@ -21,7 +21,6 @@ from superext.groups import (
     make_generalized_quaternion,
     to_cayley_document,
 )
-from superext.setfam import enumerate_mls, read_mls_stream
 
 
 def run_cli(capsys, *argv):
@@ -256,14 +255,12 @@ def test_help_exits_zero(capsys):
     assert code == EXIT_OK and "mls-count" in out
 
 
-def test_mls_count_stream(tmp_path, capsys):
-    out_path = tmp_path / "c4.mls"
-    code, _, _ = run_cli(capsys, "mls-count", "C4", "--out", str(out_path))
-    assert code == EXIT_OK
-    with open(out_path, "r", encoding="utf-8") as fh:
-        n, bits = read_mls_stream(fh)
-    assert n == 4 and len(bits) == 12 and bits == sorted(bits)
-    assert bits == [s.bits for s in enumerate_mls(parse_spec("C4"))]
+def test_mls_count_stream(tmp_path, capsys, expected_stream):
+    for spec in ("C1", "C2", "C3", "C4", "C5", "C6"):
+        out_path = tmp_path / f"{spec}.mls"
+        code, _, _ = run_cli(capsys, "mls-count", spec, "--out", str(out_path))
+        assert code == EXIT_OK
+        assert out_path.read_bytes() == expected_stream(parse_spec(spec)).encode(), spec
 
 
 def test_mls_count_over_budget_writes_no_stream(tmp_path, capsys):

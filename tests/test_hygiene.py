@@ -1,7 +1,8 @@
 """Guarantees that span modules: no bare asserts, one class for internal
 failures, no private name read across modules, a line budget for src/,
-no process-wide cache, no engine -> cli import, fresh file specs, and
-loader errors reported in document indices."""
+a reader for every top-level src/ name, no process-wide cache, no engine
+-> cli import, fresh file specs, and loader errors reported in document
+indices."""
 
 import ast
 import json
@@ -101,6 +102,45 @@ def test_src_stays_within_its_line_budget():
     # the ceiling that the roadmap sets for src/superext once the oracle and the full catalog land
     lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in (SRC / "superext").glob("*.py"))
     assert lines <= 2508
+
+
+# Top-level src/ names that nothing in src/, perfbench/ or the CLI-level tests reads, each
+# with what it backs; README's Layout lists the same names.
+UNREAD_BY_DESIGN = {
+    "build_projection_idempotent": "ROADMAP items 1-2; pinned in tests/test_pins.py",
+    "is_normal_mask": "the oracle in tests/test_groups.py",
+    "is_pretwin": "the twin <=> pretwin check in tests/test_twin.py",
+    "is_twin": "the twin <=> pretwin check in tests/test_twin.py",
+    "odd_subgroup": "ROADMAP item 8(b)",
+    "phi_map": "the reference for phi_table",
+    "principal_ultrafilter": "a fixture",
+    "to_cayley_document": "the file-spec fixtures, and the writer for ROADMAP item 7's record",
+}
+
+
+def names_read(node: ast.AST) -> set[str]:
+    """The names node reads as an ast.Name or an ast.Attribute; an import reads none."""
+    uses = (n for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in uses}
+
+
+def test_every_src_name_has_a_reader():
+    # the census: a top-level def or class is read in src/ outside its own definition, in
+    # perfbench/ or in the CLI-level tests, or UNREAD_BY_DESIGN names what it backs
+    tests = Path(__file__).resolve().parent
+    outside = [*(SRC.parent / "perfbench").glob("*.py"), tests / "test_acceptance.py", tests / "conftest.py",
+               tests / "test_golden.py"]
+    read_outside = set().union(*(names_read(ast.parse(path.read_text(encoding="utf-8"))) for path in outside))
+    statements = [node for path in (SRC / "superext").glob("*.py") for node in ast.parse(path.read_text(encoding="utf-8")).body]
+    read_in_src = [(node, names_read(node)) for node in statements]
+    defs = [node for node in statements if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    unread = {
+        d.name
+        for d in defs
+        if d.name not in read_outside and not any(d.name in names for node, names in read_in_src if node is not d)
+    }
+    assert sorted(UNREAD_BY_DESIGN.keys() - {d.name for d in defs}) == [], "listed, but src/ no longer defines it"
+    assert sorted(unread) == sorted(UNREAD_BY_DESIGN)
 
 
 def test_src_keeps_no_process_wide_cache():

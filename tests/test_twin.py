@@ -324,6 +324,10 @@ def _record(spec, members, kk, stab=None):
         ("C4", 0b1000, 0b0110, None, InvariantError, "not nested subgroups"),  # KK misses the identity
         ("C4", 0b0100, 0b1111, 0b0101, InvariantError, "not nested subgroups"),  # KK outside Stab(K)
         ("D6", 0b010000, 0b001001, None, InvariantError, "not normal"),  # {r0, r0s}, moved by r1
+        # only a later generator moves KK: X's second, 1032, moves <0231>; of Stab(K)'s generators
+        # (0,r2), (0,r1s), (1,r1), only the third moves {(0,r0), (0,r1s)}
+        ("A4", 0b1000, 0b0111, None, InvariantError, "not normal"),
+        ("C2xD8", 0b0100, 0b100001, 0b101101010100101, InvariantError, "not normal"),
         ("C6", 0b000110, 0b001001, None, ValueError, "only 2-groups"),  # |Stab/KK| = 3
         ("C2xC2xC2", 0b0100, 0b0011, None, InvariantError, "unique involution"),  # Stab/KK = C2xC2
     ],
