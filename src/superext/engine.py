@@ -53,8 +53,8 @@ def type_string(m: int, q: dict[Tag, int]) -> str:
     elif m > 1:
         parts.append(f"2^{m}")
     for fam in ("C", "Q"):
-        for (f, k), count in sorted(kv for kv in q.items() if kv[0][0] == fam):
-            base = f"{f}{2 ** k}"
+        for tag, count in sorted(kv for kv in q.items() if kv[0][0] == fam):
+            base = tag_str(tag)
             parts.append(base if count == 1 else f"{base}^{count}")
     return " x ".join(parts) if parts else "1"
 

@@ -153,7 +153,7 @@ class FiniteGroup:
             for a in range(self.order):
                 for b in range(self.order):
                     gens.add(self.table[self.table[self.table[a][b]][self.inv[a]]][self.inv[b]])
-            return subgroup_closure(self, mask_from_elements(gens))
+            return closure(self.table, mask_from_elements(gens))
 
         return self.memo("derived", build)
 
@@ -401,11 +401,6 @@ def closure(table, mask: int) -> int:
     return seen
 
 
-def subgroup_closure(g: FiniteGroup, mask: int) -> int:
-    """Smallest subgroup containing the masked elements (mask of the closure)."""
-    return closure(g.table, mask | 1)
-
-
 def is_subgroup_mask(g: FiniteGroup, mask: int) -> bool:
     """In a finite group a product-closed set holding the identity is a subgroup."""
     if not mask & 1:
@@ -415,8 +410,10 @@ def is_subgroup_mask(g: FiniteGroup, mask: int) -> bool:
     return all(members.issuperset(row_at(g.table[a])) for a in elems)
 
 
-def is_normal_mask(g: FiniteGroup, mask: int) -> bool:
-    return all(c == mask for c in g.conj_images(mask))
+def is_normal_mask(g: FiniteGroup, mask: int, gens=None) -> bool:
+    """x*mask*x^-1 = mask for every x in gens, by default g's generators: the x that fix a set
+    under conjugation are closed under products, so they are all of g once they hold its generators."""
+    return all(g.conj_mask(x, mask) == mask for x in (g.generators if gens is None else gens))
 
 
 def all_subgroups(g: FiniteGroup) -> list[int]:
@@ -467,7 +464,7 @@ def orbits(points, images) -> list[list[int]]:
 def quotient(g: FiniteGroup, mask: int) -> FiniteGroup:
     """Group on the left cosets of the normal subgroup mask, in the order of
     their least elements."""
-    if not is_subgroup_mask(g, mask):
+    if not (is_subgroup_mask(g, mask) and is_normal_mask(g, mask)):
         raise ValueError("quotient requires a normal subgroup")
     at = gather(list(mask_elements(mask)))
     cosets = orbits(range(g.order), lambda x: at(g.table[x]))  # x*N is row x read at N
@@ -476,10 +473,6 @@ def quotient(g: FiniteGroup, mask: int) -> FiniteGroup:
     for i, c in enumerate(cosets):
         for x in c:
             coset_of[x] = i
-    # a subgroup N is normal iff N*r = r*N for every representative r (then x^-1 N x = N on r*N)
-    reps_at, own = gather(reps), tuple(range(len(reps)))
-    if any(gather(reps_at(row))(coset_of) != own for row in at(g.table)):
-        raise ValueError("quotient requires a normal subgroup")
     q = FiniteGroup(restrict(g.table, reps, coset_of))
     # c(x*y) against c(x)*c(y) for the generators x of g: the x that pass are closed under products,
     # c((ab)y) = c(a(by)) = c(a)(c(b)c(y)) = (c(a)c(b))c(y) = c(ab)c(y) as q is associative
@@ -493,20 +486,12 @@ def quotient(g: FiniteGroup, mask: int) -> FiniteGroup:
 
 def greedy_generators(table, order) -> list[int]:
     """A generating set of table: each element, in the given order, that the product closure
-    C of those taken before it misses.  Taking x adds to C (first <x>) the left cosets z*C,
-    each closed under right factors from C, of the z that right factors x reach from C."""
+    of those taken before it misses."""
     gens, closed = [], 0
     for x in order:
         if not closed >> x & 1:
             gens.append(x)
-            new = list(mask_elements(closed))  # none for the first x: C becomes <x>
-            at, closed = gather(new), closed or closure(table, 1 << x)  # at: z -> z*C
-            while new:
-                z = table[new.pop()][x]
-                if not closed >> z & 1:
-                    coset = at(table[z])
-                    closed |= mask_from_elements(coset)
-                    new += coset
+            closed = closure(table, mask_from_elements(gens))
     return gens
 
 
@@ -563,7 +548,7 @@ def odd_subgroup(g: FiniteGroup) -> int:
     of O(X) and its order divides |O(X)|.
     """
     mask = reduce(and_, (kk for _, kk, _ in maximal_cogroup_masks(g)), g.full_mask())
-    closures = (subgroup_closure(g, reduce(or_, g.conj_images(1 << x))) for x in range(g.order))
+    closures = (closure(g.table, reduce(or_, g.conj_images(1 << x))) for x in range(g.order))
     if mask != mask_from_elements(x for x, c in enumerate(closures) if c.bit_count() % 2):
         raise InvariantError("KK intersection disagrees with the normal closures")
     return mask

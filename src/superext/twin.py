@@ -14,8 +14,10 @@ from itertools import product
 from .groups import (
     FiniteGroup,
     InvariantError,
+    closure,
     greedy_generators,
     group_isomorphic,
+    is_normal_mask,
     is_subgroup_mask,
     make_cq_product,
     mask_elements,
@@ -24,7 +26,6 @@ from .groups import (
     orbits,
     quotient,
     restrict,
-    subgroup_closure,
 )
 
 Tag = tuple[str, int]  # ("C", k) is C_{2^k}, ("Q", k) is Q_{2^k}
@@ -46,7 +47,7 @@ class TwoCogroup:
 class CogroupOrbit:
     representative: TwoCogroup
     members: tuple[TwoCogroup, ...] = ()
-    characteristic_type: tuple[str, int] = ("C", 1)
+    characteristic_type: Tag = ("C", 1)
     conjugators: tuple[int, ...] = ()  # the least x with x*rep*x^-1 = members[i]
 
 
@@ -166,26 +167,19 @@ def cq_factors(h: FiniteGroup) -> dict[Tag, int]:
     raise InvariantError("no cyclic/quaternion factorization found")
 
 
-def classify_unique_involution_2group(h: FiniteGroup) -> Tag:
-    """("C", k) or ("Q", k) for a 2-group with a unique involution.
-
-    InvariantError without a unique involution; cq_factors raises ValueError
-    for an order that is not a power of two.
-    """
-    if h.order > 1 and h.element_orders.count(2) != 1:
-        raise InvariantError("group does not have a unique involution")
-    return next(iter(cq_factors(h)), ("C", 0))  # the trivial group is C1
-
-
-def characteristic_group(k: TwoCogroup) -> tuple[FiniteGroup, tuple[str, int]]:
+def characteristic_group(k: TwoCogroup) -> tuple[FiniteGroup, Tag]:
     """Stab(K)/KK with its cyclic-or-quaternion classification tag.  Stab(K) = X
-    is g itself, validated when g was built; a proper Stab(K) is validated here."""
+    is g itself, validated when g was built; a proper Stab(K) is validated here.
+    InvariantError unless Stab(K)/KK has a unique involution; cq_factors raises
+    ValueError for an order that is not a power of two."""
     g, kk = k.group, k.kk
     if k.stab != g.full_mask():  # KK renumbered by position in Stab(K)
         elems = list(mask_elements(k.stab))
         g, kk = FiniteGroup(restrict(g.table, elems)), mask_from_elements(map(elems.index, mask_elements(kk)))
     h = quotient(g, kk)
-    return h, classify_unique_involution_2group(h)
+    if h.order > 1 and h.element_orders.count(2) != 1:
+        raise InvariantError("group does not have a unique involution")
+    return h, next(iter(cq_factors(h)), ("C", 0))  # the trivial group is C1
 
 
 def characteristic_type(k: TwoCogroup) -> Tag:
@@ -199,7 +193,7 @@ def characteristic_type(k: TwoCogroup) -> Tag:
     if not ((stab == g.full_mask() or is_subgroup_mask(g, stab)) and is_subgroup_mask(g, kk)) or kk & ~stab:
         raise InvariantError("Stab(K) and KK are not nested subgroups")
     gens = g.generators if stab == g.full_mask() else greedy_generators(g.table, mask_elements(stab & ~1))
-    if any(g.conj_mask(x, kk) != kk for x in gens):
+    if not is_normal_mask(g, kk, gens):
         raise InvariantError("KK is not normal in Stab(K)")
     n = stab.bit_count() // kk.bit_count()
     if n & (n - 1):
@@ -215,7 +209,7 @@ def characteristic_type(k: TwoCogroup) -> Tag:
     return ("C" if cyclic else "Q", e)
 
 
-def tag_str(tag: tuple[str, int]) -> str:
+def tag_str(tag: Tag) -> str:
     return f"{tag[0]}{2 ** tag[1]}"
 
 
@@ -268,7 +262,7 @@ def twin_sets_for(k: TwoCogroup) -> TkData:
     return TkData(twin_masks=twins, orbits=twin_orbits)
 
 
-def q_counts(g: FiniteGroup) -> dict[tuple[str, int], int]:
+def q_counts(g: FiniteGroup) -> dict[Tag, int]:
     """Conjugation-orbit counts of maximal 2-cogroups keyed by characteristic type."""
     return dict(Counter(orbit.characteristic_type for orbit in cogroup_orbits(g)))
 
@@ -296,6 +290,6 @@ def is_trivially_twinic(g: FiniteGroup) -> TwinicResult:
     for a in range(g.order):
         for b in range(g.order):
             gens = mask_from_elements(t[y][x] for y in (b, inv[b]) for x in (a, inv[a]))
-            if not subgroup_closure(g, gens) >> t[a][b] & 1:
+            if not closure(t, gens) >> t[a][b] & 1:
                 return TwinicResult(False, (a, b))
     return TwinicResult(True, None)

@@ -41,7 +41,6 @@ from superext.groups import (
     maximal_cogroup_masks,
     odd_subgroup,
     quotient,
-    subgroup_closure,
     subtable,
     to_cayley_document,
 )
@@ -111,7 +110,7 @@ def test_quaternion_sixteen():
     assert g.element_order(1) == 8  # the cyclic half
     cyclic_half = set(range(8))
     assert all(g.element_order(x) == 4 for x in range(8, 16))
-    assert subgroup_closure(g, 1 << 1) == 0xFF and cyclic_half == set(range(8))
+    assert closure(g.table, 1 << 1) == 0xFF and cyclic_half == set(range(8))
 
 
 def test_quaternion_center():
@@ -554,6 +553,16 @@ def test_quotient_rejects_a_mask_that_is_not_a_normal_subgroup():
     for g, mask in ((d6, 0b001001), (d6, classes), (make_cyclic(4), 0b0011)):
         with pytest.raises(ValueError, match="quotient requires a normal subgroup"):
             quotient(g, mask)
+
+
+def test_quotient_checks_normality_at_every_generator():
+    # <1> = {0, 1, 2} is normalised by A4's first generator, 1, and moved by its second, 3
+    g = make_alternating4()
+    assert g.generators == (1, 3)
+    sub = closure(g.table, 1 << g.generators[0])
+    assert sub == 0b111 and g.conj_mask(1, sub) == sub != g.conj_mask(3, sub)
+    with pytest.raises(ValueError, match="quotient requires a normal subgroup"):
+        quotient(g, sub)
 
 
 def test_quotient_checks_the_coset_projection_row_by_row(monkeypatch):

@@ -1,12 +1,13 @@
 """Guarantees that span modules: no bare asserts, one class for internal
 failures, no private name read across modules, a line budget for src/,
-a reader for every top-level src/ name, no process-wide cache, no engine
--> cli import, fresh file specs, and loader errors reported in document
-indices."""
+a reader for every top-level src/ name (README lists the unread ones), no
+process-wide cache, no engine -> cli import, fresh file specs, and loader
+errors reported in document indices."""
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -108,7 +109,6 @@ def test_src_stays_within_its_line_budget():
 # with what it backs; README's Layout lists the same names.
 UNREAD_BY_DESIGN = {
     "build_projection_idempotent": "ROADMAP items 1-2; pinned in tests/test_pins.py",
-    "is_normal_mask": "the oracle in tests/test_groups.py",
     "is_pretwin": "the twin <=> pretwin check in tests/test_twin.py",
     "is_twin": "the twin <=> pretwin check in tests/test_twin.py",
     "odd_subgroup": "ROADMAP item 8(b)",
@@ -141,6 +141,15 @@ def test_every_src_name_has_a_reader():
     }
     assert sorted(UNREAD_BY_DESIGN.keys() - {d.name for d in defs}) == [], "listed, but src/ no longer defines it"
     assert sorted(unread) == sorted(UNREAD_BY_DESIGN)
+
+
+def test_readme_lists_the_unread_names():
+    # the fenced list after README's census paragraph: each entry line starts with its
+    # module-qualified names, which end at the first run of two spaces
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"top-level names are read nowhere.*?```\n(.*?)```", readme, re.S).group(1)
+    entries = [re.split(r"\s{2,}", line)[0] for line in block.splitlines() if line and not line[0].isspace()]
+    assert sorted(name for entry in entries for name in re.findall(r"\w+\.(\w+)", entry)) == sorted(UNREAD_BY_DESIGN)
 
 
 def test_src_keeps_no_process_wide_cache():

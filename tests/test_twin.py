@@ -25,12 +25,13 @@ from superext.groups import (
 )
 from superext import twin
 from superext.twin import (
+    TwinicResult,
     TwoCogroup,
     characteristic_group,
     characteristic_type,
-    classify_unique_involution_2group,
     cogroup_orbits,
     coset_halves,
+    cq_factors,
     fix_minus_table,
     fix_operators,
     is_pretwin,
@@ -245,7 +246,7 @@ def test_orbits_stabilisers_and_types_match_the_definitions(spec, relabelled):
             if rep.stab not in stab_groups:
                 stab_groups[rep.stab] = FiniteGroup(subtable(g.mul, stab))
             h = quotient(stab_groups[rep.stab], kk)
-            assert orbit.characteristic_type == classify_unique_involution_2group(h)
+            assert h.element_orders.count(2) == 1 and cq_factors(h) == {orbit.characteristic_type: 1}
 
 
 def test_selector_smallest_masks():
@@ -278,15 +279,6 @@ def test_characteristic_group_c4():
     h, tag = characteristic_group(k)
     assert k.stab == g.full_mask() and k.kk == 1
     assert tag == ("C", 2) and group_isomorphic(h, g)
-
-
-def test_classification_rejects_bad_shapes():
-    with pytest.raises(ValueError, match="only 2-groups"):
-        classify_unique_involution_2group(make_cyclic(6))
-    with pytest.raises(InvariantError):
-        classify_unique_involution_2group(parse_spec("C2xC2"))
-    with pytest.raises(InvariantError):
-        classify_unique_involution_2group(parse_spec("D8"))
 
 
 def test_classification_catalog_16():
@@ -335,6 +327,12 @@ def _record(spec, members, kk, stab=None):
 def test_characteristic_type_refuses_a_record_that_fails_a_check(spec, members, kk, stab, error, match):
     with pytest.raises(error, match=match):
         characteristic_type(_record(spec, members, kk, stab))
+
+
+def test_characteristic_group_refuses_a_quotient_with_more_than_one_involution():
+    # Stab/KK = C2xC2, the row characteristic_type refuses by its coset orders
+    with pytest.raises(InvariantError, match="unique involution"):
+        characteristic_group(_record("C2xC2xC2", 0b0100, 0b0011))
 
 
 def test_characteristic_type_refuses_a_non_cyclic_h_not_certified_quaternion(monkeypatch):
@@ -499,6 +497,12 @@ def test_twinic_abelian_and_small():
 def test_twinic_nonabelian():
     for spec in ("A4", "Q8", "D8", "Q16", "D16"):
         assert is_trivially_twinic(parse_spec(spec)).trivial
+
+
+def test_twinic_failure_returns_the_first_pair_in_row_major_order(monkeypatch):
+    # no group fails, so an empty closure stands in for one that misses ab
+    monkeypatch.setattr(twin, "closure", lambda table, mask: 0)
+    assert is_trivially_twinic(parse_spec("D8")) == TwinicResult(False, (0, 0))
 
 
 @pytest.mark.parametrize("swap", [False, True])
